@@ -621,88 +621,41 @@ let parse_flaky spec =
     | Some r when r >= 0.0 && r <= 1.0 -> (name, r)
     | _ -> failwith (Printf.sprintf "bad --flaky rate %S (expected 0..1)" rate))
 
-(* Build the faulted pipeline and run it; returns the orchestrator,
-   the report and the heal switches of the broken daemons. *)
-let run_faulted_pipeline ~images ~seed ~broken ~flaky =
+(* The faulted pipeline under either driver of the one delivery core:
+   [--procs 0] pumps it in-process, [--procs N] hosts it in N forked
+   worker processes (optionally journaling through [--durable DIR]).
+   Everything printed comes from the core; the driver only adds its
+   run-summary line and, for the fabric, the worker table. *)
+type pipeline = {
+  core : Mirror_daemon.Delivery.t;
+  run : unit -> Mirror_daemon.Delivery.report;
+  redeliver : probe:bool -> int;
+  summary : Mirror_daemon.Delivery.report -> unit;  (* the driver's run line *)
+  workers : unit -> unit;
+  close : unit -> unit;
+  heals : (bool -> unit) list;  (* the broken daemons' heal switches *)
+}
+
+let in_process_pipeline daemons heals =
   let open Mirror_daemon in
-  let flaky = List.map parse_flaky flaky in
-  let g = Prng.create (seed + 1) in
-  let known = List.map (fun (d : Daemon.t) -> d.Daemon.name) (Standard.all ()) in
-  List.iter
-    (fun n ->
-      if not (List.mem n known) then failwith (Printf.sprintf "unknown daemon %S" n))
-    (broken @ List.map fst flaky);
-  let heals = ref [] in
-  let daemons =
-    List.map
-      (fun (d : Daemon.t) ->
-        if List.mem d.Daemon.name broken then begin
-          let d', heal = Faults.breakable d in
-          heals := heal :: !heals;
-          d'
-        end
-        else
-          match List.assoc_opt d.Daemon.name flaky with
-          | Some rate -> Faults.flaky (Prng.split g) ~rate d
-          | None -> d)
-      (Standard.all ())
-  in
   let orch = Orchestrator.create ~daemons () in
-  let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
-  Array.iteri
-    (fun i s ->
-      let url = Printf.sprintf "img://%d" i in
-      let annotation = Option.map (String.concat " ") s.Synth.caption in
-      Orchestrator.ingest_image orch ~doc:i ~url ?annotation s.Synth.image)
-    scenes;
-  Orchestrator.complete_collection orch;
-  let report = Orchestrator.run orch in
-  (orch, report, !heals)
+  {
+    core = Orchestrator.core orch;
+    run = (fun () -> Orchestrator.run orch);
+    redeliver = (fun ~probe -> Orchestrator.redeliver ~probe orch);
+    summary =
+      (fun r ->
+        Printf.printf "rounds %d, quiescent %b, pending %d, dead letters %d\n"
+          r.Delivery.rounds r.Delivery.quiescent r.Delivery.pending
+          (List.length r.Delivery.dead_letters));
+    workers = ignore;
+    close = ignore;
+    heals;
+  }
 
-let print_pipeline_summary (report : Mirror_daemon.Orchestrator.report) =
-  let open Mirror_daemon in
-  Printf.printf "rounds %d, quiescent %b, pending %d, dead letters %d\n"
-    report.Orchestrator.rounds report.Orchestrator.quiescent report.Orchestrator.pending
-    (List.length report.Orchestrator.dead_letters);
-  if report.Orchestrator.degraded <> [] then
-    Printf.printf "degraded: %s\n" (String.concat ", " report.Orchestrator.degraded)
-
-(* Shared health verdict: 0 healthy, 1 backlog left, 2 degraded but
-   quiescent, 3 dead letters pending replay. *)
-let health_exit ~quiescent ~degraded ~dead_letters =
-  if not quiescent then 1
-  else if dead_letters > 0 then 3
-  else if degraded <> [] then 2
-  else 0
-
-(* The multi-process variant of {!run_faulted_pipeline}: same faulted
-   daemon set, but hosted in forked worker processes under the fabric
-   (optionally journaling through [--durable DIR]). *)
-let run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable =
+let fabric_pipeline daemons heals ~procs ~durable =
   let open Mirror_daemon in
   let module Fabric = Mirror_fabric.Fabric in
-  let flaky = List.map parse_flaky flaky in
-  let g = Prng.create (seed + 1) in
-  let known = List.map (fun (d : Daemon.t) -> d.Daemon.name) (Standard.all ()) in
-  List.iter
-    (fun n ->
-      if not (List.mem n known) then failwith (Printf.sprintf "unknown daemon %S" n))
-    (broken @ List.map fst flaky);
-  let heals = ref [] in
-  let daemons =
-    List.map
-      (fun (d : Daemon.t) ->
-        if List.mem d.Daemon.name broken then begin
-          let d', heal = Faults.breakable d in
-          heals := heal :: !heals;
-          d'
-        end
-        else
-          match List.assoc_opt d.Daemon.name flaky with
-          | Some rate -> Faults.flaky (Prng.split g) ~rate d
-          | None -> d)
-      (Standard.all ())
-  in
   let config = { Fabric.default_config with Fabric.procs } in
   let fab =
     match durable with
@@ -712,143 +665,149 @@ let run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable =
       | Ok (fab, _) -> fab
       | Error e -> failwith (Printf.sprintf "cannot open journal %s: %s" dir e))
   in
-  let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
-  Array.iteri
-    (fun i s ->
-      let url = Printf.sprintf "img://%d" i in
-      let annotation = Option.map (String.concat " ") s.Synth.caption in
-      Fabric.ingest_image fab ~doc:i ~url ?annotation s.Synth.image)
-    scenes;
-  Fabric.complete_collection fab;
-  let report = Fabric.run fab in
-  (fab, report, !heals)
+  (* Worker deaths and restarts of the last run. *)
+  let deaths = ref 0 and restarts = ref 0 in
+  let run () =
+    let d0 = Fabric.deaths fab and r0 = Fabric.restarts fab in
+    let r = Fabric.run fab in
+    deaths := Fabric.deaths fab - d0;
+    restarts := Fabric.restarts fab - r0;
+    r
+  in
+  let workers () =
+    let t =
+      Mirror_util.Tablefmt.create
+        [
+          ("slot", Mirror_util.Tablefmt.Right);
+          ("pid", Mirror_util.Tablefmt.Right);
+          ("daemons", Mirror_util.Tablefmt.Left);
+        ]
+    in
+    List.iter
+      (fun (id, pid, hosted) ->
+        Mirror_util.Tablefmt.add_row t
+          [
+            string_of_int id;
+            (match pid with Some p -> string_of_int p | None -> "dead");
+            String.concat ", " hosted;
+          ])
+      (Fabric.workers fab);
+    Mirror_util.Tablefmt.print t
+  in
+  {
+    core = Fabric.core fab;
+    run;
+    redeliver = (fun ~probe -> Fabric.redeliver ~probe fab);
+    summary =
+      (fun r ->
+        Printf.printf
+          "turns %d, quiescent %b, pending %d, deaths %d, restarts %d, dead letters %d\n"
+          r.Delivery.rounds r.Delivery.quiescent r.Delivery.pending !deaths !restarts
+          (List.length (Fabric.dead_letters fab)));
+    workers;
+    close = (fun () -> Fabric.shutdown fab);
+    heals;
+  }
 
-let print_fabric_summary fab (report : Mirror_fabric.Fabric.report) =
-  let module Fabric = Mirror_fabric.Fabric in
-  Printf.printf
-    "turns %d, quiescent %b, pending %d, deaths %d, restarts %d, dead letters %d\n"
-    report.Fabric.turns report.Fabric.quiescent report.Fabric.pending
-    report.Fabric.deaths report.Fabric.restarts
-    (List.length (Fabric.dead_letters fab));
-  if report.Fabric.degraded <> [] then
-    Printf.printf "degraded: %s\n" (String.concat ", " report.Fabric.degraded)
+let print_summary p (r : Mirror_daemon.Delivery.report) =
+  p.summary r;
+  if r.degraded <> [] then Printf.printf "degraded: %s\n" (String.concat ", " r.degraded)
 
-let print_worker_table fab =
-  let module Fabric = Mirror_fabric.Fabric in
+(* Build the faulted daemon set, ingest the synthetic corpus, run once,
+   and hand the pipeline and its report to [f]; exit 1 on a bad
+   fault spec or journal. *)
+let with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable f =
+  let open Mirror_daemon in
+  let build () =
+    let flaky = List.map parse_flaky flaky in
+    let g = Prng.create (seed + 1) in
+    let known = List.map (fun (d : Daemon.t) -> d.Daemon.name) (Standard.all ()) in
+    List.iter
+      (fun n ->
+        if not (List.mem n known) then failwith (Printf.sprintf "unknown daemon %S" n))
+      (broken @ List.map fst flaky);
+    let heals = ref [] in
+    let daemons =
+      List.map
+        (fun (d : Daemon.t) ->
+          if List.mem d.Daemon.name broken then begin
+            let d', heal = Faults.breakable d in
+            heals := heal :: !heals;
+            d'
+          end
+          else
+            match List.assoc_opt d.Daemon.name flaky with
+            | Some rate -> Faults.flaky (Prng.split g) ~rate d
+            | None -> d)
+        (Standard.all ())
+    in
+    let p =
+      if procs > 0 then fabric_pipeline daemons !heals ~procs ~durable
+      else in_process_pipeline daemons !heals
+    in
+    let scenes = Synth.corpus (Prng.create seed) ~n:images ~width:32 ~height:32 () in
+    Array.iteri
+      (fun i s ->
+        let url = Printf.sprintf "img://%d" i in
+        let annotation = Option.map (String.concat " ") s.Synth.caption in
+        Delivery.ingest_image p.core ~doc:i ~url ?annotation s.Synth.image)
+      scenes;
+    Delivery.complete_collection p.core;
+    (p, p.run ())
+  in
+  match build () with
+  | exception Failure e ->
+    Printf.eprintf "error: %s\n" e;
+    1
+  | p, report -> Fun.protect ~finally:p.close (fun () -> f p report)
+
+(* Shared health verdict: 0 healthy, 1 backlog left, 2 degraded but
+   quiescent, 3 dead letters pending replay. *)
+let health_exit ~quiescent ~degraded ~dead_letters =
+  if not quiescent then 1
+  else if dead_letters > 0 then 3
+  else if degraded <> [] then 2
+  else 0
+
+let daemons_health_main images seed broken flaky procs durable =
+  with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable @@ fun p report ->
+  let open Mirror_daemon in
+  let sup = Delivery.supervisor p.core in
+  let bus = (Delivery.ctx p.core).Daemon.bus in
+  let dead = Delivery.dead_letters p.core in
   let t =
     Mirror_util.Tablefmt.create
       [
-        ("slot", Mirror_util.Tablefmt.Right);
-        ("pid", Mirror_util.Tablefmt.Right);
-        ("daemons", Mirror_util.Tablefmt.Left);
+        ("daemon", Mirror_util.Tablefmt.Left);
+        ("breaker", Mirror_util.Tablefmt.Left);
+        ("handled", Mirror_util.Tablefmt.Right);
+        ("failures", Mirror_util.Tablefmt.Right);
+        ("queued", Mirror_util.Tablefmt.Right);
+        ("dead", Mirror_util.Tablefmt.Right);
       ]
   in
   List.iter
-    (fun (id, pid, hosted) ->
+    (fun (s : Delivery.daemon_stats) ->
+      let name = s.Delivery.name in
       Mirror_util.Tablefmt.add_row t
         [
-          string_of_int id;
-          (match pid with Some p -> string_of_int p | None -> "dead");
-          String.concat ", " hosted;
+          name;
+          Supervisor.state_to_string (Supervisor.state sup name);
+          string_of_int s.Delivery.handled;
+          string_of_int s.Delivery.failures;
+          string_of_int (Bus.pending_for bus ~name);
+          string_of_int
+            (List.length
+               (List.filter
+                  (fun (e : Deadletter.entry) -> String.equal e.Deadletter.daemon name)
+                  dead));
         ])
-    (Fabric.workers fab);
-  Mirror_util.Tablefmt.print t
-
-let daemons_health_fabric ~images ~seed ~broken ~flaky ~procs ~durable =
-  let open Mirror_daemon in
-  let module Fabric = Mirror_fabric.Fabric in
-  match run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | fab, report, _ ->
-    let sup = Fabric.supervisor fab in
-    let bus = (Fabric.ctx fab).Daemon.bus in
-    let t =
-      Mirror_util.Tablefmt.create
-        [
-          ("daemon", Mirror_util.Tablefmt.Left);
-          ("breaker", Mirror_util.Tablefmt.Left);
-          ("handled", Mirror_util.Tablefmt.Right);
-          ("failures", Mirror_util.Tablefmt.Right);
-          ("queued", Mirror_util.Tablefmt.Right);
-          ("dead", Mirror_util.Tablefmt.Right);
-        ]
-    in
-    List.iter
-      (fun (s : Fabric.stats) ->
-        let name = s.Fabric.name in
-        Mirror_util.Tablefmt.add_row t
-          [
-            name;
-            Supervisor.state_to_string (Supervisor.state sup name);
-            string_of_int s.Fabric.handled;
-            string_of_int s.Fabric.failures;
-            string_of_int (Bus.pending_for bus ~name);
-            string_of_int
-              (List.length
-                 (List.filter
-                    (fun (e : Deadletter.entry) ->
-                      String.equal e.Deadletter.daemon name)
-                    (Fabric.dead_letters fab)));
-          ])
-      report.Fabric.stats;
-    Mirror_util.Tablefmt.print t;
-    print_worker_table fab;
-    print_fabric_summary fab report;
-    let code =
-      health_exit ~quiescent:report.Fabric.quiescent
-        ~degraded:report.Fabric.degraded
-        ~dead_letters:(List.length (Fabric.dead_letters fab))
-    in
-    Fabric.shutdown fab;
-    code
-
-let daemons_health_main images seed broken flaky procs durable =
-  let open Mirror_daemon in
-  if procs > 0 then
-    daemons_health_fabric ~images ~seed ~broken ~flaky ~procs ~durable
-  else
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, _ ->
-    let sup = Orchestrator.supervisor orch in
-    let bus = (Orchestrator.ctx orch).Daemon.bus in
-    let t =
-      Mirror_util.Tablefmt.create
-        [
-          ("daemon", Mirror_util.Tablefmt.Left);
-          ("breaker", Mirror_util.Tablefmt.Left);
-          ("handled", Mirror_util.Tablefmt.Right);
-          ("failures", Mirror_util.Tablefmt.Right);
-          ("queued", Mirror_util.Tablefmt.Right);
-          ("dead", Mirror_util.Tablefmt.Right);
-        ]
-    in
-    List.iter
-      (fun (s : Orchestrator.daemon_stats) ->
-        let name = s.Orchestrator.name in
-        Mirror_util.Tablefmt.add_row t
-          [
-            name;
-            Supervisor.state_to_string (Supervisor.state sup name);
-            string_of_int s.Orchestrator.handled;
-            string_of_int s.Orchestrator.failures;
-            string_of_int (Bus.pending_for bus ~name);
-            string_of_int
-              (List.length
-                 (List.filter
-                    (fun (e : Deadletter.entry) -> String.equal e.Deadletter.daemon name)
-                    (Orchestrator.dead_letters orch)));
-          ])
-      report.Orchestrator.stats;
-    Mirror_util.Tablefmt.print t;
-    print_pipeline_summary report;
-    health_exit ~quiescent:report.Orchestrator.quiescent
-      ~degraded:report.Orchestrator.degraded
-      ~dead_letters:(List.length (Orchestrator.dead_letters orch))
+    report.Delivery.stats;
+  Mirror_util.Tablefmt.print t;
+  p.workers ();
+  print_summary p report;
+  health_exit ~quiescent:report.Delivery.quiescent ~degraded:report.Delivery.degraded
+    ~dead_letters:(List.length dead)
 
 (* [daemons deadletters --durable DIR] inspects a crashed (or live)
    instance's delivery journal read-only — no pipeline is run. *)
@@ -869,9 +828,9 @@ let deadletters_inspect dir =
       (fun ((r : Record.fab_route), cause, _at) ->
         let cause =
           match (cause : Record.fab_cause) with
-          | Record.Fab_failed e -> Printf.sprintf "failed: %s" e
-          | Record.Fab_expired s -> Printf.sprintf "expired (%s)" s
-          | Record.Fab_overflow -> "overflow"
+          | Record.Failed e -> Printf.sprintf "failed: %s" e
+          | Record.Expired s -> Printf.sprintf "expired (%s)" s
+          | Record.Overflow -> "overflow"
         in
         Printf.printf "dead     %-20s %-20s subject %-4d seq %-5d %s\n"
           r.Record.daemon r.Record.topic r.Record.subject r.Record.seq cause)
@@ -881,16 +840,13 @@ let deadletters_inspect dir =
     if dead = [] then 0 else 3
 
 let daemons_deadletters_main images seed broken flaky durable =
-  let open Mirror_daemon in
   match durable with
   | Some dir -> deadletters_inspect dir
-  | None -> (
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, _ ->
-    let letters = Orchestrator.dead_letters orch in
+  | None ->
+    with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs:0 ~durable:None
+    @@ fun p report ->
+    let open Mirror_daemon in
+    let letters = Delivery.dead_letters p.core in
     List.iter
       (fun (e : Deadletter.entry) ->
         let m = e.Deadletter.delivery.Bus.message in
@@ -899,48 +855,21 @@ let daemons_deadletters_main images seed broken flaky durable =
           (Deadletter.cause_to_string e.Deadletter.cause))
       letters;
     Printf.printf "%d dead letter(s)\n" (List.length letters);
-    print_pipeline_summary report;
-    if letters = [] then 0 else 1)
-
-let daemons_redeliver_fabric ~images ~seed ~broken ~flaky ~procs ~durable ~probe =
-  let module Fabric = Mirror_fabric.Fabric in
-  match run_faulted_fabric ~images ~seed ~broken ~flaky ~procs ~durable with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | fab, report, heals ->
-    print_fabric_summary fab report;
-    List.iter (fun heal -> heal true) heals;
-    let n = Fabric.redeliver ~probe fab in
-    Printf.printf "healed %d daemon(s), redelivered %d message(s)\n"
-      (List.length heals) n;
-    let report2 = Fabric.run fab in
-    print_fabric_summary fab report2;
-    let left = List.length (Fabric.dead_letters fab) in
-    Printf.printf "%d dead letter(s) remaining\n" left;
-    let code = if report2.Fabric.quiescent && left = 0 then 0 else 1 in
-    Fabric.shutdown fab;
-    code
+    print_summary p report;
+    if letters = [] then 0 else 1
 
 let daemons_redeliver_main images seed broken flaky procs durable probe =
-  let open Mirror_daemon in
-  if procs > 0 then
-    daemons_redeliver_fabric ~images ~seed ~broken ~flaky ~procs ~durable ~probe
-  else
-  match run_faulted_pipeline ~images ~seed ~broken ~flaky with
-  | exception Failure e ->
-    Printf.eprintf "error: %s\n" e;
-    1
-  | orch, report, heals ->
-    print_pipeline_summary report;
-    List.iter (fun heal -> heal true) heals;
-    let n = Orchestrator.redeliver ~probe orch in
-    Printf.printf "healed %d daemon(s), redelivered %d message(s)\n" (List.length heals) n;
-    let report2 = Orchestrator.run orch in
-    print_pipeline_summary report2;
-    let left = List.length (Orchestrator.dead_letters orch) in
-    Printf.printf "%d dead letter(s) remaining\n" left;
-    if report2.Orchestrator.quiescent && left = 0 then 0 else 1
+  with_faulted_pipeline ~images ~seed ~broken ~flaky ~procs ~durable @@ fun p report ->
+  let module Delivery = Mirror_daemon.Delivery in
+  print_summary p report;
+  List.iter (fun heal -> heal true) p.heals;
+  let n = p.redeliver ~probe in
+  Printf.printf "healed %d daemon(s), redelivered %d message(s)\n" (List.length p.heals) n;
+  let report2 = p.run () in
+  print_summary p report2;
+  let left = List.length (Delivery.dead_letters p.core) in
+  Printf.printf "%d dead letter(s) remaining\n" left;
+  if report2.Delivery.quiescent && left = 0 then 0 else 1
 
 let images_arg =
   let doc = "Synthetic images to ingest." in

@@ -14,7 +14,7 @@
     may be bounded; on overflow the bus either exerts backpressure
     (the delivery waits in a publisher-visible stall buffer and is
     admitted as the subscriber drains) or sheds the oldest queued
-    delivery to the overflow handler (the orchestrator's dead-letter
+    delivery to the overflow handler (the delivery core's dead-letter
     queue). *)
 
 type message = {
@@ -29,10 +29,10 @@ val attr : message -> string -> string option
 type delivery = {
   seq : int;  (** Unique per enqueued copy, assigned by {!publish}. *)
   message : message;
-  mutable attempts : int;  (** Handling attempts so far (orchestrator-owned). *)
+  mutable attempts : int;  (** Handling attempts so far (owned by {!Delivery}). *)
   mutable deadline : float option;
       (** Clock reading after which the delivery is expired
-          (orchestrator-owned; [None] until stamped). *)
+          (owned by {!Delivery}; [None] until stamped). *)
 }
 
 type overflow_policy =

@@ -5,7 +5,7 @@
     full bounded queue.  Every entry records {e why} — "a party in an
     open architecture may simply be down" is only tolerable when the
     failure is attributable.  Entries keep their delivery envelope so
-    {!Orchestrator.redeliver} can put the exact delivery back on the
+    {!Delivery.redeliver} can put the exact delivery back on the
     bus once the target daemon is healthy again. *)
 
 type cause =

@@ -9,6 +9,8 @@ let failure_message = "injected fault"
 
 exception Crash of string
 
+let is_fatal = function Crash _ | Out_of_memory | Stack_overflow -> true | _ -> false
+
 let armed_point : (string * int ref) option ref = ref None
 let write_budget : int option ref = ref None
 

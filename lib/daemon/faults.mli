@@ -42,6 +42,11 @@ exception Crash of string
 (** Raised by {!crash_hit} at an armed point, and by fault-aware
     writers when {!write_allowance} truncates a write. *)
 
+val is_fatal : exn -> bool
+(** {!Crash}, [Out_of_memory] and [Stack_overflow]: process deaths,
+    not daemon failures — a driver requeues the delivery and lets its
+    host die instead of spending retry budget on them. *)
+
 val reset_faults : unit -> unit
 (** Disarm everything (call in test teardown). *)
 

@@ -1,25 +1,10 @@
 module Clock = Mirror_util.Clock
 
-type config = {
-  ttl : float;
-  tick : float;
-  capacity : int option;
-  policy : Bus.overflow_policy;
-  breaker : Supervisor.config;
-  barriers : (string * string list) list;
-}
+type config = { delivery : Delivery.config; tick : float }
 
-let default_config =
-  {
-    ttl = 30.0;
-    tick = 1.0;
-    capacity = Some 256;
-    policy = Bus.Backpressure;
-    breaker = Supervisor.default_config;
-    barriers = [ ("collection.complete", [ "image.new"; "segments.ready" ]) ];
-  }
+let default_config = { delivery = Delivery.default_config; tick = 1.0 }
 
-type daemon_stats = {
+type daemon_stats = Delivery.daemon_stats = {
   name : string;
   handled : int;
   produced : int;
@@ -27,7 +12,7 @@ type daemon_stats = {
   cpu_seconds : float;
 }
 
-type report = {
+type report = Delivery.report = {
   rounds : int;
   quiescent : bool;
   pending : int;
@@ -36,107 +21,32 @@ type report = {
   dead_letters : Deadletter.entry list;
 }
 
-type mutable_stats = {
-  mutable m_handled : int;
-  mutable m_produced : int;
-  mutable m_failures : int;
-  mutable m_cpu : float;
-}
+type t = { core : Delivery.t; tick : float }
 
-type t = {
-  context : Daemon.ctx;
-  daemons : Daemon.t list;
-  tallies : (string, mutable_stats) Hashtbl.t;
-  config : config;
-  clk : Clock.t;
-  sup : Supervisor.t;
-  dlq : Deadletter.t;
-}
+let create ?daemons ?clock ?seed ?(config = default_config) () =
+  let clock = match clock with Some c -> c | None -> Clock.virtual_ () in
+  { core = Delivery.create ?daemons ?seed ~config:config.delivery ~clock (); tick = config.tick }
 
-let initial_schema =
-  "SET< TUPLE< Atomic<URL>: source, Atomic<Text>: annotation, Atomic<Image>: image > >"
-
-let create ?daemons ?clock ?(seed = 7901) ?(config = default_config) () =
-  let daemons = match daemons with Some ds -> ds | None -> Standard.all () in
-  let clk = match clock with Some c -> c | None -> Clock.virtual_ () in
-  let context =
-    {
-      Daemon.bus = Bus.create ?capacity:config.capacity ~policy:config.policy ();
-      media = Media.create ();
-      dict = Dictionary.create ();
-      store = Store.create ();
-    }
-  in
-  Dictionary.register context.Daemon.dict ~name:"ImageLibrary" ~schema:initial_schema
-    ~owner:"application";
-  let tallies = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Daemon.t) ->
-      Hashtbl.replace tallies d.Daemon.name
-        { m_handled = 0; m_produced = 0; m_failures = 0; m_cpu = 0.0 };
-      List.iter (fun topic -> Bus.subscribe context.Daemon.bus ~topic ~name:d.Daemon.name)
-        d.Daemon.topics)
-    daemons;
-  let dlq = Deadletter.create () in
-  (* Sheds under [Shed_oldest] are dead letters too: nothing leaves the
-     bus without an attributable record. *)
-  Bus.set_overflow_handler context.Daemon.bus
-    (Some
-       (fun name delivery ->
-         Deadletter.add dlq
-           { Deadletter.daemon = name; delivery; cause = Deadletter.Overflow;
-             at = Clock.now clk }));
-  let sup = Supervisor.create ~config:config.breaker ~clock:clk ~seed () in
-  { context; daemons; tallies; config; clk; sup; dlq }
-
-let ctx t = t.context
-let clock t = t.clk
-let supervisor t = t.sup
-let dead_letters t = Deadletter.entries t.dlq
-
-let redeliver ?daemon ?(probe = false) t =
-  let letters = Deadletter.take ?daemon t.dlq in
-  List.iter
-    (fun (e : Deadletter.entry) ->
-      (* Force-close assumes the operator healed the daemon; [probe]
-         only half-opens, so the first replayed delivery acts as the
-         probe and a still-sick daemon re-trips after one failure
-         instead of absorbing the whole backlog. *)
-      if probe then Supervisor.probe t.sup e.Deadletter.daemon
-      else Supervisor.reset t.sup e.Deadletter.daemon;
-      let d = e.Deadletter.delivery in
-      d.Bus.attempts <- 0;
-      d.Bus.deadline <- None;
-      Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d;
-      if Mirror_util.Metrics.enabled () then
-        Mirror_util.Metrics.incr "deadletter.redelivered")
-    letters;
-  List.length letters
+let core t = t.core
+let ctx t = Delivery.ctx t.core
+let supervisor t = Delivery.supervisor t.core
+let dead_letters t = Delivery.dead_letters t.core
+let redeliver ?daemon ?probe t = Delivery.redeliver ?daemon ?probe t.core
 
 let ingest_image t ~doc ~url ?annotation img =
-  Media.put t.context.Daemon.media ~url img;
-  Store.register_doc t.context.Daemon.store ~doc ~url;
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "image.new"; subject = doc; payload = [ ("url", url) ] };
-  match annotation with
-  | None -> ()
-  | Some text ->
-    Bus.publish t.context.Daemon.bus
-      { Bus.topic = "annotation.new"; subject = doc; payload = [ ("text", text) ] }
+  Delivery.ingest_image t.core ~doc ~url ?annotation img
 
-let complete_collection t =
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "collection.complete"; subject = -1; payload = [] }
+let complete_collection t = Delivery.complete_collection t.core
 
 let formulate t text =
-  let bus = t.context.Daemon.bus in
+  let bus = (ctx t).Daemon.bus in
   let reply = "client.formulated" in
   Bus.subscribe bus ~topic:reply ~name:"client";
   Bus.publish bus
     { Bus.topic = "query.formulate"; subject = -1; payload = [ ("text", text); ("reply", reply) ] }
 
 let formulated t =
-  let bus = t.context.Daemon.bus in
+  let bus = (ctx t).Daemon.bus in
   match Bus.fetch bus ~name:"client" with
   | None -> None
   | Some m -> (
@@ -153,52 +63,26 @@ let formulated t =
                  let w = String.sub pair (i + 1) (String.length pair - i - 1) in
                  Option.map (fun w -> (c, w)) (float_of_string_opt w))))
 
-(* Exceptions that are not daemon failures but simulated process
-   deaths: never consume retry budget by swallowing them — requeue the
-   in-flight delivery and let the caller restart. *)
-let is_fatal = function
-  | Faults.Crash _ | Out_of_memory | Stack_overflow -> true
-  | _ -> false
-
 let run ?(max_retries = 2) ?(max_rounds = 1000) ?(trace = Mirror_util.Trace.null) t =
   let module Trace = Mirror_util.Trace in
   let module Metrics = Mirror_util.Metrics in
-  let bus = t.context.Daemon.bus in
+  let core = t.core in
+  let context = Delivery.ctx core and sup = Delivery.supervisor core in
+  let bus = context.Daemon.bus in
+  let daemons = Delivery.daemons core in
   let rounds = ref 0 in
   let fatal : exn option ref = ref None in
-  let dead_before = Deadletter.count t.dlq in
-  let dead_count () = Deadletter.count t.dlq - dead_before in
-  let pending_daemons () =
-    List.fold_left
-      (fun acc (d : Daemon.t) -> acc + Bus.pending_for bus ~name:d.Daemon.name)
-      0 t.daemons
-  in
-  let add_dead name delivery cause =
-    Deadletter.add t.dlq
-      { Deadletter.daemon = name; delivery; cause; at = Clock.now t.clk };
-    if Metrics.enabled () then Metrics.incr "deadletter.count"
-  in
-  (* A barrier delivery is held while any awaited topic still has
-     in-flight deliveries or dead letters: the downstream daemon must
-     not consume its trigger before upstream work has resolved. *)
-  let barrier_held (m : Bus.message) =
-    match List.assoc_opt m.Bus.topic t.config.barriers with
-    | None -> false
-    | Some awaits ->
-      List.exists
-        (fun topic ->
-          Bus.pending_by_topic bus ~topic > 0 || Deadletter.exists_topic t.dlq topic)
-        awaits
-  in
-  Supervisor.set_listener t.sup
+  let since = Delivery.dead_count core in
+  let dead_count () = Delivery.dead_count core - since in
+  Supervisor.set_listener sup
     (Some
        (fun name st ->
          if Trace.is_on trace then
            Trace.event trace "breaker"
              ~attrs:[ ("daemon", name); ("state", Supervisor.state_to_string st) ]));
-  Fun.protect ~finally:(fun () -> Supervisor.set_listener t.sup None) @@ fun () ->
+  Fun.protect ~finally:(fun () -> Supervisor.set_listener sup None) @@ fun () ->
   Trace.enter trace "orchestrator.run";
-  let continue_ = ref (pending_daemons () > 0) in
+  let continue_ = ref (Delivery.pending core > 0) in
   while !continue_ && !fatal = None && !rounds < max_rounds do
     incr rounds;
     Trace.enter trace (Printf.sprintf "round %d" !rounds);
@@ -208,25 +92,7 @@ let run ?(max_retries = 2) ?(max_rounds = 1000) ?(trace = Mirror_util.Trace.null
       (fun (d : Daemon.t) ->
         if !fatal = None then begin
           let name = d.Daemon.name in
-          let tally = Hashtbl.find t.tallies name in
-          let handled_before = tally.m_handled in
-          let now = Clock.now t.clk in
-          (* Stamp fresh deliveries with their deadline; expire overdue
-             ones into the dead-letter queue. *)
-          let expired =
-            Bus.sweep bus ~name ~keep:(fun (dv : Bus.delivery) ->
-                match dv.Bus.deadline with
-                | None ->
-                  dv.Bus.deadline <- Some (now +. t.config.ttl);
-                  true
-                | Some dl -> dl > now)
-          in
-          List.iter
-            (fun dv ->
-              add_dead name dv
-                (Deadletter.Expired
-                   (Supervisor.state_to_string (Supervisor.state t.sup name))))
-            expired;
+          Delivery.expire core name;
           if Metrics.enabled () then
             Metrics.observe ("daemon." ^ name ^ ".depth")
               (float_of_int (Bus.queued bus ~name));
@@ -235,68 +101,48 @@ let run ?(max_retries = 2) ?(max_rounds = 1000) ?(trace = Mirror_util.Trace.null
              a round), gated by the breaker: open = skip, half-open =
              one probe delivery. *)
           let budget =
-            match Supervisor.state t.sup name with
+            match Supervisor.state sup name with
             | Supervisor.Open _ -> 0
             | Supervisor.Half_open -> min 1 (Bus.queued bus ~name)
             | Supervisor.Closed -> Bus.queued bus ~name
           in
+          let handled = ref 0 in
           let rec drain budget =
-            if budget > 0 && !fatal = None && Supervisor.allow t.sup name then
-              match Bus.fetch_delivery bus ~name with
+            if budget > 0 && !fatal = None then
+              match Delivery.next core ~name with
               | None -> ()
               | Some dv ->
-                if barrier_held dv.Bus.message then
-                  (* Put it back and stop: the trigger waits for
-                     upstream work to resolve. *)
-                  Bus.requeue_delivery bus ~name dv
-                else begin
-                  dv.Bus.attempts <- dv.Bus.attempts + 1;
-                  incr attempts_this_round;
-                  let m_on = Metrics.enabled () in
-                  let w0 = if m_on then Trace.now () else 0.0 in
-                  let t0 = Sys.time () in
-                  (match d.Daemon.handle t.context dv.Bus.message with
-                  | out ->
-                    tally.m_cpu <- tally.m_cpu +. (Sys.time () -. t0);
-                    tally.m_handled <- tally.m_handled + 1;
-                    tally.m_produced <- tally.m_produced + List.length out;
-                    Supervisor.success t.sup name;
-                    if m_on then begin
-                      Metrics.incr ("daemon." ^ name ^ ".handled");
-                      Metrics.observe ("daemon." ^ name ^ ".ms")
-                        (1000.0 *. (Trace.now () -. w0))
-                    end;
-                    List.iter (Bus.publish bus) out
-                  | exception e when is_fatal e ->
-                    tally.m_cpu <- tally.m_cpu +. (Sys.time () -. t0);
-                    tally.m_failures <- tally.m_failures + 1;
-                    Bus.requeue_delivery bus ~name dv;
-                    fatal := Some e
-                  | exception e ->
-                    tally.m_cpu <- tally.m_cpu +. (Sys.time () -. t0);
-                    tally.m_failures <- tally.m_failures + 1;
-                    Supervisor.failure t.sup name;
-                    if m_on then Metrics.incr ("daemon." ^ name ^ ".failures");
-                    if dv.Bus.attempts <= max_retries then
-                      Bus.requeue_delivery bus ~name dv
-                    else add_dead name dv (Deadletter.Failed (Printexc.to_string e)));
-                  drain (budget - 1)
-                end
+                incr attempts_this_round;
+                let w0 = if Metrics.enabled () then Trace.now () else 0.0 in
+                let t0 = Sys.time () in
+                (match d.Daemon.handle context dv.Bus.message with
+                | out ->
+                  let cpu = Sys.time () -. t0 in
+                  let ms = if Metrics.enabled () then Some (1000.0 *. (Trace.now () -. w0)) else None in
+                  incr handled;
+                  Delivery.succeed ~cpu ?ms core ~name dv out
+                | exception e when Faults.is_fatal e ->
+                  Delivery.crashed ~cpu:(Sys.time () -. t0) core ~name dv;
+                  fatal := Some e
+                | exception e ->
+                  Delivery.fail ~cpu:(Sys.time () -. t0) core ~max_retries ~name dv
+                    (Printexc.to_string e));
+                drain (budget - 1)
           in
           if budget > 0 && Trace.is_on trace then begin
             Trace.enter trace name;
             drain budget;
-            Trace.leave ~rows:(tally.m_handled - handled_before) trace
+            Trace.leave ~rows:!handled trace
           end
           else drain budget
         end)
-      t.daemons;
+      daemons;
     let dead_delta = dead_count () - dead_at_round_start in
     Trace.leave
-      ~attrs:[ ("attempts", string_of_int !attempts_this_round);
-               ("dead", string_of_int dead_delta) ]
+      ~attrs:
+        [ ("attempts", string_of_int !attempts_this_round); ("dead", string_of_int dead_delta) ]
       trace;
-    if Clock.is_virtual t.clk then Clock.advance t.clk t.config.tick;
+    if Clock.is_virtual (Delivery.clock core) then Clock.advance (Delivery.clock core) t.tick;
     (* Keep pumping while the round did something, or while an open
        breaker guards pending work (advancing time will half-open it,
        or the backlog will expire).  Anything else is a stall no amount
@@ -305,14 +151,14 @@ let run ?(max_retries = 2) ?(max_rounds = 1000) ?(trace = Mirror_util.Trace.null
       List.exists
         (fun (d : Daemon.t) ->
           Bus.pending_for bus ~name:d.Daemon.name > 0
-          && Supervisor.state t.sup d.Daemon.name <> Supervisor.Closed)
-        t.daemons
+          && Supervisor.state sup d.Daemon.name <> Supervisor.Closed)
+        daemons
     in
     continue_ :=
-      pending_daemons () > 0
+      Delivery.pending core > 0
       && (!attempts_this_round > 0 || dead_delta > 0 || can_unblock ())
   done;
-  let pending = pending_daemons () in
+  let pending = Delivery.pending core in
   Trace.leave
     ~attrs:
       [
@@ -322,32 +168,4 @@ let run ?(max_retries = 2) ?(max_rounds = 1000) ?(trace = Mirror_util.Trace.null
       ]
     trace;
   (match !fatal with Some e -> raise e | None -> ());
-  let stats =
-    List.map
-      (fun (d : Daemon.t) ->
-        let m = Hashtbl.find t.tallies d.Daemon.name in
-        {
-          name = d.Daemon.name;
-          handled = m.m_handled;
-          produced = m.m_produced;
-          failures = m.m_failures;
-          cpu_seconds = m.m_cpu;
-        })
-      t.daemons
-  in
-  let degraded =
-    List.filter_map
-      (fun (d : Daemon.t) ->
-        let name = d.Daemon.name in
-        if
-          Supervisor.state t.sup name <> Supervisor.Closed
-          || Deadletter.for_daemon t.dlq name <> []
-        then Some name
-        else None)
-      t.daemons
-  in
-  let dead_letters =
-    let rec drop n l = if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl in
-    drop dead_before (Deadletter.entries t.dlq)
-  in
-  { rounds = !rounds; quiescent = pending = 0; pending; degraded; stats; dead_letters }
+  Delivery.report core ~since ~rounds:!rounds ~pending

@@ -1,12 +1,11 @@
-(** Drives the open distributed architecture.
+(** The in-process driver of the open distributed architecture.
 
-    Owns the bus/media/dictionary/store context, ingests footage
-    (publishing the corresponding messages) and then pumps the bus in
-    rounds until the daemons go quiescent — under supervision: every
-    daemon has a {!Supervisor} circuit breaker, every delivery a retry
-    budget and a deadline, and everything undeliverable lands in a
-    {!Deadletter} queue with its cause, from which {!redeliver} can
-    replay it once the target is healthy again.
+    Pumps the bus in rounds, calling each daemon's handler directly,
+    until the daemons go quiescent.  Every policy decision — TTL,
+    barrier, retry or dead-letter, breakers, redelivery, the report —
+    is {!Delivery}'s; this module owns only the schedule: per round,
+    each daemon handles at most the deliveries queued at the round's
+    start (one while its breaker is half-open, none while open).
 
     Time is injectable ({!Mirror_util.Clock}); by default a virtual
     clock advances one tick per round, so breaker backoff and message
@@ -21,51 +20,30 @@
     restart). *)
 
 type config = {
-  ttl : float;
-      (** Message deadline: a delivery still queued [ttl] clock
-          seconds after it was first considered is dead-lettered as
-          expired (so a downed daemon's backlog drains to the
-          dead-letter queue instead of burning retry attempts). *)
+  delivery : Delivery.config;  (** TTL, queue bound, breaker, barriers. *)
   tick : float;  (** Virtual-clock advance per round. *)
-  capacity : int option;  (** Per-subscriber bus queue bound. *)
-  policy : Bus.overflow_policy;
-  breaker : Supervisor.config;
-  barriers : (string * string list) list;
-      (** [(topic, awaits)]: a delivery on [topic] is held while any
-          [awaits] topic has pending deliveries or dead letters.  The
-          default holds ["collection.complete"] until segmentation
-          (["image.new"]) and feature extraction (["segments.ready"])
-          have resolved, so the clusterer never runs on a partial
-          feature store. *)
 }
 
 val default_config : config
-(** ttl 30s, tick 1s, capacity 256, [Backpressure], default breaker,
-    the ["collection.complete"] barrier. *)
+(** {!Delivery.default_config}, tick 1s. *)
 
-type daemon_stats = {
+type daemon_stats = Delivery.daemon_stats = {
   name : string;
-  handled : int;  (** Messages successfully processed. *)
-  produced : int;  (** Messages published as a result. *)
-  failures : int;  (** Raised handlings (each attempt counts). *)
-  cpu_seconds : float;  (** Processor time inside the handler. *)
+  handled : int;
+  produced : int;
+  failures : int;
+  cpu_seconds : float;
 }
 
-type report = {
+type report = Delivery.report = {
   rounds : int;
   quiescent : bool;
-      (** True when no deliveries remain queued for any daemon.  A
-          false report is honest about why: [pending] counts the
-          backlog (livelock guard hit, breaker still open, or a
-          barrier held by dead letters). *)
-  pending : int;  (** Deliveries still queued when the run stopped. *)
+  pending : int;
   degraded : string list;
-      (** Daemons that ended the run unhealthy: breaker not closed,
-          or dead letters addressed to them.  Empty for a clean run. *)
-  stats : daemon_stats list;  (** In daemon registration order;
-          cumulative across runs of the same orchestrator. *)
-  dead_letters : Deadletter.entry list;  (** Added during this run. *)
+  stats : daemon_stats list;
+  dead_letters : Deadletter.entry list;
 }
+(** See {!Delivery.report}. *)
 
 type t
 
@@ -81,34 +59,22 @@ val create :
     dictionary.  [clock] defaults to a fresh virtual clock; [seed]
     (default 7901) drives the breakers' deterministic jitter. *)
 
+val core : t -> Delivery.t
 val ctx : t -> Daemon.ctx
-(** The underlying context (media server, store, dictionary, bus). *)
-
-val clock : t -> Mirror_util.Clock.t
 val supervisor : t -> Supervisor.t
 
 val dead_letters : t -> Deadletter.entry list
-(** The full dead-letter queue, oldest first (persists across runs). *)
+(** See {!Delivery.dead_letters}. *)
 
 val redeliver : ?daemon:string -> ?probe:bool -> t -> int
-(** Drain the dead-letter queue (all of it, or one daemon's) back
-    onto the bus with fresh retry budgets and deadlines.  By default
-    the target breakers are force-closed — the operator's "the daemon
-    is healthy again" signal.  With [~probe:true] they are only moved
-    to half-open, so the first replayed delivery acts as a probe and a
-    still-sick daemon re-trips after one failure instead of absorbing
-    the whole backlog.  Returns the number of redelivered messages;
-    follow with {!run} to process them. *)
+(** See {!Delivery.redeliver}; follow with {!run} to process the
+    replayed letters. *)
 
 val ingest_image :
   t -> doc:int -> url:string -> ?annotation:string -> Mirror_mm.Image.t -> unit
-(** Publish footage on the media server, register the document, and
-    announce ["image.new"] (and ["annotation.new"] when an annotation
-    is supplied). *)
+(** See {!Delivery.ingest_image}. *)
 
 val complete_collection : t -> unit
-(** Announce ["collection.complete"] — unblocks the clusterer once
-    the barrier releases. *)
 
 val formulate : t -> string -> unit
 (** Post a ["query.formulate"] request for the given text on behalf of

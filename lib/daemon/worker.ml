@@ -1,12 +1,5 @@
 type exit_reason = Quit | Orphaned | Fatal of exn
 
-(* Same taxonomy as the orchestrator: these are process deaths, not
-   daemon failures — the worker must die without replying so the
-   parent sees EOF, exactly as if the process had been killed. *)
-let is_fatal = function
-  | Faults.Crash _ | Out_of_memory | Stack_overflow -> true
-  | _ -> false
-
 let marshal_op (op : Store.op) = Marshal.to_string op []
 
 let unmarshal_op blob : Store.op =
@@ -45,7 +38,7 @@ let serve ic oc daemons ~(ctx : Daemon.ctx) =
           finish ();
           List.iter (fun m -> Transport.send_reply oc (Transport.Pub m)) out;
           Transport.send_reply oc (Transport.Done seq)
-        | exception e when is_fatal e ->
+        | exception e when Faults.is_fatal e ->
           finish ();
           (* No reply: die so the parent observes a real process
              death (EOF + waitpid), the recovery unit of the fabric. *)

@@ -362,9 +362,9 @@ let dead_letters t =
 let store_history t = List.rev t.st.store_hist
 
 let cause_tag = function
-  | Record.Fab_failed _ -> "failed"
-  | Record.Fab_expired _ -> "expired"
-  | Record.Fab_overflow -> "overflow"
+  | Record.Failed _ -> "failed"
+  | Record.Expired _ -> "expired"
+  | Record.Overflow -> "overflow"
 
 let state_keys t =
   ( List.map fst (sorted_bindings t.st.pending),

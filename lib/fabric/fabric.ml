@@ -1,12 +1,10 @@
 module Clock = Mirror_util.Clock
 module Bus = Mirror_daemon.Bus
 module Daemon = Mirror_daemon.Daemon
-module Media = Mirror_daemon.Media
-module Dictionary = Mirror_daemon.Dictionary
 module Store = Mirror_daemon.Store
 module Supervisor = Mirror_daemon.Supervisor
 module Deadletter = Mirror_daemon.Deadletter
-module Standard = Mirror_daemon.Standard
+module Delivery = Mirror_daemon.Delivery
 module Transport = Mirror_daemon.Transport
 module Worker = Mirror_daemon.Worker
 module Faults = Mirror_daemon.Faults
@@ -24,16 +22,34 @@ type config = {
 }
 
 let default_config =
+  let d = Delivery.default_config in
   {
     procs = 2;
-    ttl = 30.0;
-    capacity = Some 256;
-    policy = Bus.Backpressure;
-    breaker = Supervisor.default_config;
-    barriers = [ ("collection.complete", [ "image.new"; "segments.ready" ]) ];
+    ttl = d.Delivery.ttl;
+    capacity = d.Delivery.capacity;
+    policy = d.Delivery.policy;
+    breaker = d.Delivery.breaker;
+    barriers = d.Delivery.barriers;
     max_retries = 2;
     poll = 0.02;
   }
+
+type stats = Delivery.daemon_stats = {
+  name : string;
+  handled : int;
+  produced : int;
+  failures : int;
+  cpu_seconds : float;
+}
+
+type report = Delivery.report = {
+  rounds : int;
+  quiescent : bool;
+  pending : int;
+  degraded : string list;
+  stats : stats list;
+  dead_letters : Deadletter.entry list;
+}
 
 (* One worker slot.  The slot (its id and hosted daemons) is fixed;
    the process occupying it changes across restarts. *)
@@ -48,22 +64,13 @@ type worker = {
   mutable inflight : (string * Bus.delivery) option;
   mutable staged : Transport.reply list;  (* Op/Pub since Deliver, reversed *)
   mutable synced : int;  (* op-log cursor already sent to this process *)
-  mutable spawns : int;
 }
-
-type daemon_tally = { mutable t_handled : int; mutable t_failures : int }
 
 type t = {
   config : config;
-  daemons : Daemon.t list;
-  context : Daemon.ctx;
-  clk : Clock.t;
-  sup : Supervisor.t;
-  dlq : Deadletter.t;
+  core : Delivery.t;
   dlog : Dlog.t option;
   workers : worker array;
-  host_of : (string, int) Hashtbl.t;  (* daemon name -> worker slot *)
-  tallies : (string, daemon_tally) Hashtbl.t;
   (* Store ops seen this run, as (origin slot, marshalled blob): -1 =
      the parent itself.  Each worker has a cursor into this log and is
      caught up (skipping its own ops) before every dispatch. *)
@@ -74,32 +81,6 @@ type t = {
   mutable restarts : int;
   mutable kills : int;
 }
-
-type stats = { name : string; handled : int; failures : int }
-
-type report = {
-  turns : int;
-  quiescent : bool;
-  pending : int;
-  degraded : string list;
-  deaths : int;  (** Worker processes that died during this run. *)
-  restarts : int;  (** Fresh processes forked mid-run to replace them. *)
-  stats : stats list;
-  dead_letters : Deadletter.entry list;
-}
-
-let initial_schema =
-  "SET< TUPLE< Atomic<URL>: source, Atomic<Text>: annotation, Atomic<Image>: image > >"
-
-let fab_cause_of = function
-  | Deadletter.Failed e -> Record.Fab_failed e
-  | Deadletter.Expired s -> Record.Fab_expired s
-  | Deadletter.Overflow -> Record.Fab_overflow
-
-let cause_of_fab = function
-  | Record.Fab_failed e -> Deadletter.Failed e
-  | Record.Fab_expired s -> Deadletter.Expired s
-  | Record.Fab_overflow -> Deadletter.Overflow
 
 let fab_route_of name (d : Bus.delivery) =
   {
@@ -120,46 +101,43 @@ let push_op t origin blob =
   t.ops.(t.nops) <- (origin, blob);
   t.nops <- t.nops + 1
 
-let add_dead t name delivery cause =
-  Deadletter.add t.dlq
-    { Deadletter.daemon = name; delivery; cause; at = Clock.now t.clk };
-  match t.dlog with
-  | Some dl ->
-    Dlog.dead dl ~daemon:name ~seq:delivery.Bus.seq ~cause:(fab_cause_of cause)
-      ~at:(Clock.now t.clk)
-  | None -> ()
+(* The journal observes the core's transitions; it makes no decisions. *)
+let journal_hooks dl =
+  {
+    Delivery.on_dead =
+      (fun (e : Deadletter.entry) ->
+        Dlog.dead dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq
+          ~cause:e.Deadletter.cause ~at:e.Deadletter.at);
+    on_done = (fun name dv -> Dlog.done_ dl ~daemon:name ~seq:dv.Bus.seq);
+    on_redeliver =
+      (* One atomic journal record per letter: a crash mid-redelivery
+         loses nothing — replayed letters are pending again, the rest
+         are still dead. *)
+      (fun (e : Deadletter.entry) ->
+        Dlog.redeliver dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq);
+  }
 
-let make ?daemons ?clock ?(seed = 7901) ?(config = default_config) ~dlog () =
+let make ?daemons ?clock ?seed ?(config = default_config) ~dlog () =
   if config.procs < 1 then invalid_arg "Fabric: procs must be positive";
-  let daemons = match daemons with Some ds -> ds | None -> Standard.all () in
-  let clk = match clock with Some c -> c | None -> Clock.mono () in
-  let context =
-    {
-      Daemon.bus = Bus.create ?capacity:config.capacity ~policy:config.policy ();
-      media = Media.create ();
-      dict = Dictionary.create ();
-      store = Store.create ();
-    }
+  let clock = match clock with Some c -> c | None -> Clock.mono () in
+  let core =
+    Delivery.create ?daemons ?seed ?hooks:(Option.map journal_hooks dlog) ~clock
+      ~config:
+        {
+          Delivery.ttl = config.ttl;
+          capacity = config.capacity;
+          policy = config.policy;
+          breaker = config.breaker;
+          barriers = config.barriers;
+        }
+      ()
   in
-  Dictionary.register context.Daemon.dict ~name:"ImageLibrary" ~schema:initial_schema
-    ~owner:"application";
-  let host_of = Hashtbl.create 16 in
-  let tallies = Hashtbl.create 16 in
-  List.iteri
-    (fun i (d : Daemon.t) ->
-      Hashtbl.replace host_of d.Daemon.name (i mod config.procs);
-      Hashtbl.replace tallies d.Daemon.name { t_handled = 0; t_failures = 0 };
-      List.iter
-        (fun topic -> Bus.subscribe context.Daemon.bus ~topic ~name:d.Daemon.name)
-        d.Daemon.topics)
-    daemons;
+  let daemons = Delivery.daemons core and context = Delivery.ctx core in
   let workers =
     Array.init config.procs (fun id ->
         {
           id;
-          hosted =
-            List.filter (fun (d : Daemon.t) -> Hashtbl.find host_of d.Daemon.name = id)
-              daemons;
+          hosted = List.filteri (fun i _ -> i mod config.procs = id) daemons;
           buf = Buffer.create 4096;
           pid = -1;
           rfd = Unix.stdin;
@@ -168,23 +146,14 @@ let make ?daemons ?clock ?(seed = 7901) ?(config = default_config) ~dlog () =
           inflight = None;
           staged = [];
           synced = 0;
-          spawns = 0;
         })
   in
-  let dlq = Deadletter.create () in
-  let sup = Supervisor.create ~config:config.breaker ~clock:clk ~seed () in
   let t =
     {
       config;
-      daemons;
-      context;
-      clk;
-      sup;
-      dlq;
+      core;
       dlog;
       workers;
-      host_of;
-      tallies;
       ops = [||];
       nops = 0;
       tick_hook = None;
@@ -193,9 +162,6 @@ let make ?daemons ?clock ?(seed = 7901) ?(config = default_config) ~dlog () =
       kills = 0;
     }
   in
-  Bus.set_overflow_handler context.Daemon.bus
-    (Some
-       (fun name delivery -> add_dead t name delivery Deadletter.Overflow));
   (* Every parent-side store write enters the op log so workers can be
      caught up; [Store.apply] of a worker's op suppresses this hook
      (no echo), those ops are pushed explicitly with their origin. *)
@@ -211,7 +177,8 @@ let make ?daemons ?clock ?(seed = 7901) ?(config = default_config) ~dlog () =
     Bus.set_route_hook context.Daemon.bus
       (Some
          (fun name d ->
-           if Hashtbl.mem host_of name then Dlog.route dl (fab_route_of name d))));
+           if List.exists (fun (h : Daemon.t) -> String.equal h.Daemon.name name) daemons
+           then Dlog.route dl (fab_route_of name d))));
   t
 
 let create ?daemons ?clock ?seed ?config () =
@@ -222,61 +189,56 @@ let ( let* ) = Result.bind
 let open_durable ?daemons ?clock ?seed ?config ?checkpoint_every ~dir () =
   let* dl, recovery = Dlog.open_ ?checkpoint_every ~dir () in
   let t = make ?daemons ?clock ?seed ?config ~dlog:(Some dl) () in
+  let context = Delivery.ctx t.core in
   (* Rebuild the metadata store first (the journal interleaves store
      writes ahead of the delivery records that depend on them), then
      re-materialize pending deliveries on the bus and dead letters in
      the queue.  [Store.replay] suppresses both hooks, [Bus.inject]
-     bypasses the route hook: replaying {e from} the journal must not
-     write back into it. *)
+     bypasses the route hook and [Delivery.restore] the core's hooks:
+     replaying {e from} the journal must not write back into it. *)
   let* () =
     List.fold_left
       (fun acc (tag, payload) ->
         let* () = acc in
         Result.map_error
           (fun e -> Printf.sprintf "fabric recovery: store record %S: %s" tag e)
-          (Store.replay t.context.Daemon.store tag payload))
+          (Store.replay context.Daemon.store tag payload))
       (Ok ()) (Dlog.store_history dl)
+  in
+  let message (fr : Record.fab_route) =
+    { Bus.topic = fr.Record.topic; subject = fr.Record.subject; payload = fr.Record.payload }
   in
   List.iter
     (fun (fr : Record.fab_route) ->
       ignore
-        (Bus.inject t.context.Daemon.bus ~name:fr.Record.daemon ~seq:fr.Record.seq
-           ~attempts:fr.Record.attempts
-           {
-             Bus.topic = fr.Record.topic;
-             subject = fr.Record.subject;
-             payload = fr.Record.payload;
-           }))
+        (Bus.inject context.Daemon.bus ~name:fr.Record.daemon ~seq:fr.Record.seq
+           ~attempts:fr.Record.attempts (message fr)))
     (Dlog.pending dl);
   List.iter
     (fun ((fr : Record.fab_route), cause, at) ->
-      Bus.reserve t.context.Daemon.bus ~seq:fr.Record.seq;
-      Deadletter.add t.dlq
+      Bus.reserve context.Daemon.bus ~seq:fr.Record.seq;
+      Delivery.restore t.core
         {
           Deadletter.daemon = fr.Record.daemon;
           delivery =
-            {
-              Bus.seq = fr.Record.seq;
-              message =
-                {
-                  Bus.topic = fr.Record.topic;
-                  subject = fr.Record.subject;
-                  payload = fr.Record.payload;
-                };
-              attempts = fr.Record.attempts;
-              deadline = None;
-            };
-          cause = cause_of_fab cause;
+            { Bus.seq = fr.Record.seq; message = message fr; attempts = fr.Record.attempts;
+              deadline = None };
+          cause;
           at;
         })
     (Dlog.dead_letters dl);
   Ok (t, recovery)
 
-let ctx t = t.context
-let clock t = t.clk
-let supervisor t = t.sup
-let dead_letters t = Deadletter.entries t.dlq
+let ctx t = Delivery.ctx t.core
+let core t = t.core
+let supervisor t = Delivery.supervisor t.core
+let dead_letters t = Delivery.dead_letters t.core
 let set_tick_hook t h = t.tick_hook <- h
+
+let ingest_image t ~doc ~url ?annotation img =
+  Delivery.ingest_image t.core ~doc ~url ?annotation img
+
+let complete_collection t = Delivery.complete_collection t.core
 
 let workers t =
   Array.to_list
@@ -287,25 +249,9 @@ let workers t =
            List.map (fun (d : Daemon.t) -> d.Daemon.name) w.hosted ))
        t.workers)
 
-let pending_deliveries t =
-  List.fold_left
-    (fun acc (d : Daemon.t) ->
-      acc + Bus.pending_for t.context.Daemon.bus ~name:d.Daemon.name)
-    0 t.daemons
-  + Array.fold_left
-      (fun acc w -> acc + match w.inflight with Some _ -> 1 | None -> 0)
-      0 t.workers
-
-let degraded t =
-  List.filter_map
-    (fun (d : Daemon.t) ->
-      let name = d.Daemon.name in
-      if
-        Supervisor.state t.sup name <> Supervisor.Closed
-        || Deadletter.for_daemon t.dlq name <> []
-      then Some name
-      else None)
-    t.daemons
+(* Deliveries handed to a worker and not yet settled, as (daemon, delivery). *)
+let inflight t = List.filter_map (fun w -> w.inflight) (Array.to_list t.workers)
+let pending_deliveries t = Delivery.pending t.core + List.length (inflight t)
 
 (* {1 Process plumbing} *)
 
@@ -334,11 +280,12 @@ let spawn t w =
       t.workers;
     let code =
       try
-        Store.set_journal t.context.Daemon.store None;
-        Store.set_sync t.context.Daemon.store None;
+        let context = ctx t in
+        Store.set_journal context.Daemon.store None;
+        Store.set_sync context.Daemon.store None;
         let ic = Unix.in_channel_of_descr req_r in
         let oc = Unix.out_channel_of_descr rep_w in
-        match Worker.serve ic oc w.hosted ~ctx:t.context with
+        match Worker.serve ic oc w.hosted ~ctx:context with
         | Worker.Quit -> 0
         | Worker.Orphaned -> 2
         | Worker.Fatal _ -> 70
@@ -360,11 +307,10 @@ let spawn t w =
     Buffer.clear w.buf;
     (* Fork copied the parent's store as of now, so the new process
        starts fully caught up. *)
-    w.synced <- t.nops;
-    w.spawns <- w.spawns + 1
+    w.synced <- t.nops
 
-(* A worker process is gone: reap it, requeue (or exhaust) whatever it
-   was handling, and trip the breakers of everything it hosted so the
+(* A worker process is gone: reap it, settle whatever it was handling
+   as a failure, and trip the breakers of everything it hosted so the
    backlog waits for the restart instead of burning attempts. *)
 let mark_dead (t : t) w =
   if w.alive then begin
@@ -385,15 +331,11 @@ let mark_dead (t : t) w =
     | None -> ()
     | Some (name, dv) ->
       w.inflight <- None;
-      let tally = Hashtbl.find t.tallies name in
-      tally.t_failures <- tally.t_failures + 1;
-      Supervisor.failure t.sup name;
-      if dv.Bus.attempts <= t.config.max_retries then
-        Bus.requeue_delivery t.context.Daemon.bus ~name dv
-      else
-        add_dead t name dv
-          (Deadletter.Failed (Printf.sprintf "worker process %d died" w.pid)));
-    List.iter (fun (d : Daemon.t) -> Supervisor.trip_now t.sup d.Daemon.name) w.hosted
+      Delivery.fail t.core ~max_retries:t.config.max_retries ~name dv
+        (Printf.sprintf "worker process %d died" w.pid));
+    List.iter
+      (fun (d : Daemon.t) -> Supervisor.trip_now (supervisor t) d.Daemon.name)
+      w.hosted
   end
 
 let kill_worker (t : t) id =
@@ -432,40 +374,9 @@ let catch_up t w =
 
 (* {1 The event loop} *)
 
-let barrier_held t (m : Bus.message) =
-  match List.assoc_opt m.Bus.topic t.config.barriers with
-  | None -> false
-  | Some awaits ->
-    List.exists
-      (fun topic ->
-        Bus.pending_by_topic t.context.Daemon.bus ~topic > 0
-        || Deadletter.exists_topic t.dlq topic
-        || Array.exists
-             (fun w ->
-               match w.inflight with
-               | Some (_, dv) -> String.equal dv.Bus.message.Bus.topic topic
-               | None -> false)
-             t.workers)
-      awaits
-
-(* Stamp fresh deliveries with their TTL deadline and expire overdue
-   ones — same discipline as the in-process orchestrator, on the
-   monotonic wall clock. *)
-let sweep_daemon t name =
-  let now = Clock.now t.clk in
-  let expired =
-    Bus.sweep t.context.Daemon.bus ~name ~keep:(fun (dv : Bus.delivery) ->
-        match dv.Bus.deadline with
-        | None ->
-          dv.Bus.deadline <- Some (now +. t.config.ttl);
-          true
-        | Some dl -> dl > now)
-  in
-  List.iter
-    (fun dv ->
-      add_dead t name dv
-        (Deadletter.Expired (Supervisor.state_to_string (Supervisor.state t.sup name))))
-    expired
+(* The barrier also waits on deliveries a worker holds. *)
+let in_flight t topic =
+  List.exists (fun (_, dv) -> String.equal dv.Bus.message.Bus.topic topic) (inflight t)
 
 (* Hand the next eligible delivery to an idle worker.  One delivery in
    flight per process: a half-open breaker's single dispatch is
@@ -474,33 +385,21 @@ let dispatch t w =
   if w.alive && w.inflight = None then
     let rec try_daemons = function
       | [] -> ()
-      | (d : Daemon.t) :: rest ->
+      | (d : Daemon.t) :: rest -> (
         let name = d.Daemon.name in
-        if
-          Supervisor.allow t.sup name
-          && Bus.queued t.context.Daemon.bus ~name > 0
-        then (
-          match Bus.fetch_delivery t.context.Daemon.bus ~name with
-          | None -> try_daemons rest
-          | Some dv ->
-            if barrier_held t dv.Bus.message then begin
-              Bus.requeue_delivery t.context.Daemon.bus ~name dv;
-              try_daemons rest
-            end
-            else begin
-              dv.Bus.attempts <- dv.Bus.attempts + 1;
-              if
-                catch_up t w
-                && send t w
-                     (Transport.Deliver
-                        { seq = dv.Bus.seq; daemon = name; message = dv.Bus.message })
-              then w.inflight <- Some (name, dv)
-              else
-                (* The process died while we were talking to it; the
-                   delivery goes back (its attempt counts). *)
-                Bus.requeue_delivery t.context.Daemon.bus ~name dv
-            end)
-        else try_daemons rest
+        match Delivery.next ~in_flight:(in_flight t) t.core ~name with
+        | None -> try_daemons rest
+        | Some dv ->
+          if
+            catch_up t w
+            && send t w
+                 (Transport.Deliver
+                    { seq = dv.Bus.seq; daemon = name; message = dv.Bus.message })
+          then w.inflight <- Some (name, dv)
+          else
+            (* The process died while we were talking to it; the
+               delivery goes back (its attempt counts). *)
+            Bus.requeue_delivery (ctx t).Daemon.bus ~name dv)
     in
     try_daemons w.hosted
 
@@ -510,93 +409,87 @@ let dispatch t w =
    therefore leaves no trace in the parent, and the retry cannot
    double-apply a non-idempotent op like [O_visual]. *)
 let settle_reply t w reply =
-  match reply with
-  | Transport.Op _ | Transport.Pub _ -> w.staged <- reply :: w.staged
-  | Transport.Done seq -> (
+  let inflight seq =
     match w.inflight with
     | Some (name, dv) when dv.Bus.seq = seq ->
       w.inflight <- None;
-      let commit () =
-        List.iter
+      let staged = List.rev w.staged in
+      w.staged <- [];
+      (name, dv, staged)
+    | _ -> raise (Transport.Bad (Printf.sprintf "unexpected terminator for #%d" seq))
+  in
+  match reply with
+  | Transport.Op _ | Transport.Pub _ -> w.staged <- reply :: w.staged
+  | Transport.Done seq -> (
+    let name, dv, staged = inflight seq in
+    let commit () =
+      let out =
+        List.filter_map
           (function
             | Transport.Op blob ->
               (* Applying to the parent store fires the durability
                  journal but not the sync hook; other workers get it
                  via the op log. *)
-              Store.apply t.context.Daemon.store (Worker.unmarshal_op blob);
-              push_op t w.id blob
-            | Transport.Pub m -> Bus.publish t.context.Daemon.bus m
-            | Transport.Done _ | Transport.Fail _ -> ())
-          (List.rev w.staged);
-        w.staged <- [];
-        let tally = Hashtbl.find t.tallies name in
-        tally.t_handled <- tally.t_handled + 1;
-        Supervisor.success t.sup name;
-        match t.dlog with
-        | Some dl -> Dlog.done_ dl ~daemon:name ~seq
-        | None -> ()
+              Store.apply (ctx t).Daemon.store (Worker.unmarshal_op blob);
+              push_op t w.id blob;
+              None
+            | Transport.Pub m -> Some m
+            | Transport.Done _ | Transport.Fail _ -> None)
+          staged
       in
-      (* The settlement is one atomic journal group: a crash leaves
-         either the delivery pending with no effects, or done with all
-         of them — never effects without the [Fab_done]. *)
-      (match t.dlog with
-      | Some dl ->
-        Dlog.atomically dl commit;
-        Faults.crash_hit "fabric.settled"
-      | None -> commit ())
-    | _ -> raise (Transport.Bad (Printf.sprintf "unexpected done for #%d" seq)))
-  | Transport.Fail (seq, text) -> (
-    match w.inflight with
-    | Some (name, dv) when dv.Bus.seq = seq ->
-      w.inflight <- None;
-      w.staged <- [];
-      let tally = Hashtbl.find t.tallies name in
-      tally.t_failures <- tally.t_failures + 1;
-      Supervisor.failure t.sup name;
-      if dv.Bus.attempts <= t.config.max_retries then
-        Bus.requeue_delivery t.context.Daemon.bus ~name dv
-      else add_dead t name dv (Deadletter.Failed text)
-    | _ -> raise (Transport.Bad (Printf.sprintf "unexpected fail for #%d" seq)))
+      Delivery.succeed t.core ~name dv out
+    in
+    (* The settlement is one atomic journal group: a crash leaves
+       either the delivery pending with no effects, or done with all
+       of them — never effects without the [Fab_done]. *)
+    match t.dlog with
+    | Some dl ->
+      Dlog.atomically dl commit;
+      Faults.crash_hit "fabric.settled"
+    | None -> commit ())
+  | Transport.Fail (seq, text) ->
+    let name, dv, _ = inflight seq in
+    Delivery.fail t.core ~max_retries:t.config.max_retries ~name dv text
 
-(* Drain complete reply lines out of [w.buf].  Bytes stay buffered
-   here, never in an [in_channel]: select must only report an fd ready
-   when a read would actually return data. *)
+(* Settle every complete reply line in [w.buf], scanning by index and
+   keeping the unterminated tail once.  Bytes stay buffered here, never
+   in an [in_channel]: select must only report an fd ready when a read
+   would actually return data. *)
 let settle_buffer t w =
-  let rec next_line () =
-    let s = Buffer.contents w.buf in
-    match String.index_opt s '\n' with
-    | None -> ()
+  let s = Buffer.contents w.buf in
+  let rec settle start =
+    match String.index_from_opt s start '\n' with
+    | None -> start
     | Some i ->
-      let line = String.sub s 0 i in
-      Buffer.clear w.buf;
-      Buffer.add_substring w.buf s (i + 1) (String.length s - i - 1);
-      (match Transport.reply_of_line line with
+      (match Transport.reply_of_line (String.sub s start (i - start)) with
       | Ok r -> settle_reply t w r
       | Error e -> raise (Transport.Bad e));
-      if w.alive then next_line ()
+      settle (i + 1)
   in
-  next_line ()
+  let tail = settle 0 in
+  if tail > 0 then begin
+    Buffer.clear w.buf;
+    Buffer.add_substring w.buf s tail (String.length s - tail)
+  end
 
 let read_worker t w =
   let chunk = Bytes.create 65536 in
   let rec drain () =
     match Unix.read w.rfd chunk 0 (Bytes.length chunk) with
-    | 0 -> mark_dead t w
+    | 0 -> false
     | n ->
       Buffer.add_subbytes w.buf chunk 0 n;
       drain ()
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      mark_dead t w
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+    | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> false
   in
-  drain ();
-  if w.alive then settle_buffer t w
-  else
-    (* Settle what the dying process managed to say before EOF: ops
-       and publications are valid up to the torn tail; the terminator
-       never arrived, so the in-flight delivery was already requeued
-       by [mark_dead]. *)
-    ()
+  let open_ = drain () in
+  (* Settle what the process said before any EOF first: a worker killed
+     right after writing [Done] did finish that delivery.  Only a torn
+     tail (a delivery without its terminator) is left for [mark_dead]
+     to discard and retry. *)
+  settle_buffer t w;
+  if not open_ then mark_dead t w
 
 (* A dead slot is respawned once its hosted breakers' backoff has
    elapsed (the [Open] → [Half_open] transition is the restart
@@ -605,14 +498,13 @@ let maybe_respawn (t : t) w =
   if (not w.alive) && w.pid >= 0 then
     let has_work =
       List.exists
-        (fun (d : Daemon.t) ->
-          Bus.pending_for t.context.Daemon.bus ~name:d.Daemon.name > 0)
+        (fun (d : Daemon.t) -> Bus.pending_for (ctx t).Daemon.bus ~name:d.Daemon.name > 0)
         w.hosted
     in
     let ready =
       List.exists
         (fun (d : Daemon.t) ->
-          match Supervisor.state t.sup d.Daemon.name with
+          match Supervisor.state (supervisor t) d.Daemon.name with
           | Supervisor.Open _ -> false
           | Supervisor.Closed | Supervisor.Half_open -> true)
         w.hosted
@@ -621,6 +513,13 @@ let maybe_respawn (t : t) w =
       spawn t w;
       t.restarts <- t.restarts + 1
     end
+
+(* Forget a reaped process: its slot stays, empty. *)
+let release w =
+  close_quiet w.rfd;
+  w.alive <- false;
+  w.inflight <- None;
+  Buffer.clear w.buf
 
 let quit_workers t =
   Array.iter
@@ -637,10 +536,7 @@ let quit_workers t =
               Unix.kill w.pid Sys.sigkill;
               ignore (Unix.waitpid [] w.pid)
             with Unix.Unix_error _ -> ()));
-          close_quiet w.rfd;
-          w.alive <- false;
-          w.inflight <- None;
-          Buffer.clear w.buf
+          release w
         end
       end)
     t.workers
@@ -651,11 +547,8 @@ let kill_all t =
       if w.alive then begin
         (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
         (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-        close_quiet w.rfd;
         close_out_noerr w.oc;
-        w.alive <- false;
-        w.inflight <- None;
-        Buffer.clear w.buf
+        release w
       end)
     t.workers
 
@@ -664,7 +557,7 @@ let shutdown t =
   Fun.protect
     ~finally:(fun () -> Sys.set_signal Sys.sigpipe prev_pipe)
     (fun () -> quit_workers t);
-  match t.dlog with Some dl -> Dlog.close dl | None -> ()
+  Option.iter Dlog.close t.dlog
 
 let run ?(max_turns = 100_000) (t : t) =
   let prev_pipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
@@ -675,18 +568,14 @@ let run ?(max_turns = 100_000) (t : t) =
   t.nops <- 0;
   t.ops <- [||];
   Array.iter (fun w -> spawn t w) t.workers;
-  let deaths0 = t.deaths and restarts0 = t.restarts in
-  let dead_before = Deadletter.count t.dlq in
+  let since = Delivery.dead_count t.core in
   let turns = ref 0 in
-  let finish () =
-    Sys.set_signal Sys.sigpipe prev_pipe;
-    match t.dlog with Some dl -> Dlog.sync dl | None -> ()
-  in
   (try
      while pending_deliveries t > 0 && !turns < max_turns do
        incr turns;
-       (match t.tick_hook with Some f -> f !turns | None -> ());
-       List.iter (fun (d : Daemon.t) -> sweep_daemon t d.Daemon.name) t.daemons;
+       Option.iter (fun f -> f !turns) t.tick_hook;
+       List.iter (fun (d : Daemon.t) -> Delivery.expire t.core d.Daemon.name)
+         (Delivery.daemons t.core);
        Array.iter (fun w -> maybe_respawn t w) t.workers;
        Array.iter (fun w -> dispatch t w) t.workers;
        let fds =
@@ -708,114 +597,50 @@ let run ?(max_turns = 100_000) (t : t) =
              | None -> ())
            readable
        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-       match t.dlog with Some dl -> Dlog.sync dl | None -> ()
+       Option.iter Dlog.sync t.dlog
      done
    with e ->
      (* The orchestrator itself is dying (e.g. an armed fabric crash
         point).  Take the workers down hard and leave the journal
         exactly as-is — recovery replays it. *)
      kill_all t;
-     (match t.dlog with Some dl -> Dlog.abandon dl | None -> ());
+     Option.iter Dlog.abandon t.dlog;
      Sys.set_signal Sys.sigpipe prev_pipe;
      raise e);
-  finish ();
-  let pending = pending_deliveries t in
-  let dead_letters =
-    let rec drop n l =
-      if n = 0 then l else match l with [] -> [] | _ :: tl -> drop (n - 1) tl
-    in
-    drop dead_before (Deadletter.entries t.dlq)
-  in
-  {
-    turns = !turns;
-    quiescent = pending = 0;
-    pending;
-    degraded = degraded t;
-    deaths = t.deaths - deaths0;
-    restarts = t.restarts - restarts0;
-    stats =
-      List.map
-        (fun (d : Daemon.t) ->
-          let tally = Hashtbl.find t.tallies d.Daemon.name in
-          { name = d.Daemon.name;
-            handled = tally.t_handled;
-            failures = tally.t_failures })
-        t.daemons;
-    dead_letters;
-  }
+  Sys.set_signal Sys.sigpipe prev_pipe;
+  Option.iter Dlog.sync t.dlog;
+  Delivery.report t.core ~since ~rounds:!turns ~pending:(pending_deliveries t)
 
-(* {1 Redelivery} *)
-
-let redeliver ?daemon ?(probe = false) t =
-  let letters = Deadletter.take ?daemon t.dlq in
-  List.iter
-    (fun (e : Deadletter.entry) ->
-      (match t.dlog with
-      | Some dl ->
-        (* One atomic journal record per letter: a crash in this loop
-           loses nothing — replayed letters are pending again, the
-           rest are still dead. *)
-        Dlog.redeliver dl ~daemon:e.Deadletter.daemon ~seq:e.Deadletter.delivery.Bus.seq
-      | None -> ());
-      if probe then Supervisor.probe t.sup e.Deadletter.daemon
-      else Supervisor.reset t.sup e.Deadletter.daemon;
-      let d = e.Deadletter.delivery in
-      d.Bus.attempts <- 0;
-      d.Bus.deadline <- None;
-      Bus.requeue_delivery t.context.Daemon.bus ~name:e.Deadletter.daemon d)
-    letters;
-  (match t.dlog with Some dl -> Dlog.sync dl | None -> ());
-  List.length letters
-
-(* {1 Ingestion (same surface as the in-process orchestrator)} *)
-
-let ingest_image t ~doc ~url ?annotation img =
-  Media.put t.context.Daemon.media ~url img;
-  Store.register_doc t.context.Daemon.store ~doc ~url;
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "image.new"; subject = doc; payload = [ ("url", url) ] };
-  match annotation with
-  | None -> ()
-  | Some text ->
-    Bus.publish t.context.Daemon.bus
-      { Bus.topic = "annotation.new"; subject = doc; payload = [ ("text", text) ] }
-
-let complete_collection t =
-  Bus.publish t.context.Daemon.bus
-    { Bus.topic = "collection.complete"; subject = -1; payload = [] }
+let redeliver ?daemon ?probe t =
+  let n = Delivery.redeliver ?daemon ?probe t.core in
+  Option.iter Dlog.sync t.dlog;
+  n
 
 (* {1 Introspection for the CLI and tests} *)
 
 let state_keys t =
-  ( List.sort compare
-      (List.concat_map
-         (fun (d : Daemon.t) ->
-           let name = d.Daemon.name in
-           let acc = ref [] in
-           let keep (dv : Bus.delivery) =
-             acc := (name, dv.Bus.seq) :: !acc;
-             true
-           in
-           ignore (Bus.sweep t.context.Daemon.bus ~name ~keep);
-           let inflight =
-             Array.to_list t.workers
-             |> List.filter_map (fun w ->
-                    match w.inflight with
-                    | Some (n, dv) when String.equal n name -> Some (name, dv.Bus.seq)
-                    | _ -> None)
-           in
-           inflight @ !acc)
-         t.daemons),
+  let bus = (ctx t).Daemon.bus in
+  let queued =
+    List.concat_map
+      (fun (d : Daemon.t) ->
+        let name = d.Daemon.name in
+        let acc = ref [] in
+        let keep (dv : Bus.delivery) =
+          acc := (name, dv.Bus.seq) :: !acc;
+          true
+        in
+        ignore (Bus.sweep bus ~name ~keep);
+        !acc)
+      (Delivery.daemons t.core)
+  in
+  ( List.sort compare (List.map (fun (n, dv) -> (n, dv.Bus.seq)) (inflight t) @ queued),
     List.sort compare
       (List.map
          (fun (e : Deadletter.entry) ->
            ( e.Deadletter.daemon,
              e.Deadletter.delivery.Bus.seq,
-             match e.Deadletter.cause with
-             | Deadletter.Failed _ -> "failed"
-             | Deadletter.Expired _ -> "expired"
-             | Deadletter.Overflow -> "overflow" ))
-         (Deadletter.entries t.dlq)) )
+             Dlog.cause_tag e.Deadletter.cause ))
+         (dead_letters t)) )
 
 let deaths (t : t) = t.deaths
 let restarts (t : t) = t.restarts

@@ -1,10 +1,13 @@
 (** The multi-process daemon fabric: OS-process isolation for the
     open distributed architecture.
 
-    Where {!Mirror_daemon.Orchestrator} pumps the bus in-process, the
-    fabric forks one worker process per slot, assigns each daemon to a
-    slot, and speaks the {!Mirror_daemon.Transport} line protocol over
-    pipes.  The recovery unit is the {e process}: a worker that dies —
+    The fabric is the second driver over {!Mirror_daemon.Delivery}
+    (the first, {!Mirror_daemon.Orchestrator}, runs handlers
+    in-process): the core decides expiry, barriers, retries and dead
+    letters; the fabric forks one worker process per slot, assigns
+    each daemon to a slot, and executes deliveries over the
+    {!Mirror_daemon.Transport} line protocol, one in flight per
+    process.  The recovery unit is the {e process}: a worker that dies —
     [SIGKILL], a fatal handler exception, an OOM — is detected by EOF
     on its reply pipe, its in-flight delivery is requeued (or
     dead-lettered once its retry budget is gone), its hosted daemons'
@@ -43,20 +46,26 @@ val default_config : config
 (** 2 processes, ttl 30s, capacity 256, [Backpressure], default
     breaker, the ["collection.complete"] barrier, 2 retries. *)
 
-type t
+type stats = Mirror_daemon.Delivery.daemon_stats = {
+  name : string;
+  handled : int;
+  produced : int;
+  failures : int;
+  cpu_seconds : float;  (** Always 0: handlers run in the workers. *)
+}
 
-type stats = { name : string; handled : int; failures : int }
-
-type report = {
-  turns : int;
-  quiescent : bool;  (** No deliveries left queued or in flight. *)
+type report = Mirror_daemon.Delivery.report = {
+  rounds : int;  (** Event-loop turns. *)
+  quiescent : bool;
   pending : int;
   degraded : string list;
-  deaths : int;  (** Worker processes that died during this run. *)
-  restarts : int;  (** Fresh processes forked mid-run to replace them. *)
-  stats : stats list;  (** Cumulative across runs, registration order. *)
-  dead_letters : Mirror_daemon.Deadletter.entry list;  (** Added this run. *)
+  stats : stats list;
+  dead_letters : Mirror_daemon.Deadletter.entry list;
 }
+(** See {!Mirror_daemon.Delivery.report}; worker deaths and restarts
+    are counted by {!deaths} and {!restarts}. *)
+
+type t
 
 val create :
   ?daemons:Mirror_daemon.Daemon.t list ->
@@ -84,16 +93,13 @@ val open_durable :
     letters are reconstituted in the queue — the exact state the
     crashed instance had journaled. *)
 
+val core : t -> Mirror_daemon.Delivery.t
 val ctx : t -> Mirror_daemon.Daemon.ctx
-val clock : t -> Mirror_util.Clock.t
-val supervisor : t -> Mirror_daemon.Supervisor.t
 
 val dead_letters : t -> Mirror_daemon.Deadletter.entry list
 (** Oldest first; persists across runs. *)
 
 val dlog : t -> Dlog.t option
-
-(** {1 Ingestion — same surface as the in-process orchestrator} *)
 
 val ingest_image :
   t -> doc:int -> url:string -> ?annotation:string -> Mirror_mm.Image.t -> unit
@@ -111,9 +117,7 @@ val run : ?max_turns:int -> t -> report
     precisely the crash {!open_durable} recovers from. *)
 
 val redeliver : ?daemon:string -> ?probe:bool -> t -> int
-(** Drain the dead-letter queue back onto the bus — force-closing the
-    target breakers, or only half-opening them with [~probe:true] (see
-    {!Mirror_daemon.Orchestrator.redeliver}).  Each letter is one
+(** {!Mirror_daemon.Delivery.redeliver}, journaled: each letter is one
     atomic [Fab_redeliver] journal record, so an orchestrator crash
     mid-redelivery loses nothing: replayed letters are pending again,
     the rest are still dead. *)
@@ -137,14 +141,15 @@ val workers : t -> (int * int option * string list) list
 val pending_deliveries : t -> int
 (** Queued, stalled, or in-flight deliveries across all daemons. *)
 
-val degraded : t -> string list
-(** Daemons with a non-closed breaker or addressed dead letters. *)
-
 val state_keys : t -> (string * int) list * (string * int * string) list
 (** Live (daemon, seq) pending keys — queued and in-flight — and
     (daemon, seq, cause tag) dead letters, both sorted; directly
     comparable with {!Dlog.state_keys} for exact-recovery checks. *)
 
 val deaths : t -> int
+(** Worker processes that died, cumulative across runs. *)
+
 val restarts : t -> int
+(** Fresh processes forked mid-run to replace them, cumulative. *)
+
 val kills : t -> int

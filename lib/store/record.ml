@@ -3,7 +3,10 @@ module Types = Mirror_core.Types
 module Value = Mirror_core.Value
 module Parser = Mirror_core.Parser
 
-type fab_cause = Fab_failed of string | Fab_expired of string | Fab_overflow
+type fab_cause = Mirror_daemon.Deadletter.cause =
+  | Failed of string
+  | Expired of string
+  | Overflow
 
 type fab_route = {
   daemon : string;
@@ -124,13 +127,13 @@ let rec encode r =
     add_str buf daemon;
     add_int buf seq;
     (match cause with
-    | Fab_failed msg ->
+    | Failed msg ->
       Buffer.add_char buf 'f';
       add_str buf msg
-    | Fab_expired st ->
+    | Expired st ->
       Buffer.add_char buf 'e';
       add_str buf st
-    | Fab_overflow -> Buffer.add_char buf 'o');
+    | Overflow -> Buffer.add_char buf 'o');
     Buffer.add_int64_le buf (Int64.bits_of_float at)
   | Fab_redeliver { daemon; seq } ->
     Buffer.add_char buf 'B';
@@ -268,9 +271,9 @@ let rec decode payload =
       let seq = read_int c in
       let cause =
         match read_char c with
-        | 'f' -> Fab_failed (read_str c)
-        | 'e' -> Fab_expired (read_str c)
-        | 'o' -> Fab_overflow
+        | 'f' -> Failed (read_str c)
+        | 'e' -> Expired (read_str c)
+        | 'o' -> Overflow
         | ch -> raise (Bad (Printf.sprintf "unknown dead-letter cause %C" ch))
       in
       need c 8;
@@ -308,9 +311,9 @@ let describe = function
   | Fab_dead { daemon; seq; cause; _ } ->
     let c =
       match cause with
-      | Fab_failed _ -> "failed"
-      | Fab_expired _ -> "expired"
-      | Fab_overflow -> "overflow"
+      | Failed _ -> "failed"
+      | Expired _ -> "expired"
+      | Overflow -> "overflow"
     in
     Printf.sprintf "fab-dead #%d @ %s (%s)" seq daemon c
   | Fab_redeliver { daemon; seq } -> Printf.sprintf "fab-redeliver #%d @ %s" seq daemon

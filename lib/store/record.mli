@@ -13,13 +13,14 @@
     bits, strings length-prefixed, so a replayed database is
     bit-for-bit the one that was logged. *)
 
-type fab_cause = Fab_failed of string | Fab_expired of string | Fab_overflow
-(** Why a delivery was dead-lettered — mirrors
-    {!Mirror_daemon.Deadletter.cause} without depending on it (this
-    library sits {e below} the fabric in the dependency order).
-    [Fab_failed] carries the raising exception's text (arbitrary
-    bytes, newlines included); [Fab_expired] the breaker state at
-    expiry. *)
+type fab_cause = Mirror_daemon.Deadletter.cause =
+  | Failed of string
+  | Expired of string
+  | Overflow
+(** Why a delivery was dead-lettered — the dead-letter queue's own
+    cause type, journaled as is.  [Failed] carries the raising
+    exception's text (arbitrary bytes, newlines included); [Expired]
+    the breaker state at expiry. *)
 
 type fab_route = {
   daemon : string;  (** Destination subscriber. *)

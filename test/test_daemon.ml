@@ -627,6 +627,53 @@ let test_query_formulation_round_trip () =
   | Some [] -> Alcotest.fail "no concepts returned"
   | None -> Alcotest.fail "no reply delivered"
 
+(* Both drivers settle through the one delivery core, so both record
+   the dead-letter counters. *)
+let test_metrics_parity () =
+  let module Metrics = Mirror_util.Metrics in
+  let module Fabric = Mirror_fabric.Fabric in
+  let failing () = Daemon.make ~name:"sink" ~topics:[ "t" ] (fun _ _ -> failwith "down") in
+  let publish (ctx : Daemon.ctx) =
+    for i = 0 to 2 do
+      Bus.publish ctx.Daemon.bus { Bus.topic = "t"; subject = i; payload = [] }
+    done
+  in
+  let check driver ~dead ~redeliver =
+    Alcotest.(check int) (driver ^ ": three dead letters") 3 dead;
+    Alcotest.(check int) (driver ^ ": deadletter.count") 3 (Metrics.counter "deadletter.count");
+    Alcotest.(check int) (driver ^ ": redelivered") 3 (redeliver ());
+    Alcotest.(check int) (driver ^ ": deadletter.redelivered") 3
+      (Metrics.counter "deadletter.redelivered")
+  in
+  Fun.protect ~finally:Metrics.reset @@ fun () ->
+  Metrics.with_enabled @@ fun () ->
+  Metrics.reset ();
+  let orch = Orchestrator.create ~daemons:[ failing () ] () in
+  publish (Orchestrator.ctx orch);
+  ignore (Orchestrator.run orch);
+  check "in-process"
+    ~dead:(List.length (Orchestrator.dead_letters orch))
+    ~redeliver:(fun () -> Orchestrator.redeliver orch);
+  if Sys.unix then begin
+    Metrics.reset ();
+    let config =
+      {
+        Fabric.default_config with
+        ttl = 2.0;
+        breaker =
+          { Supervisor.failure_threshold = 3; base_backoff = 0.004; max_backoff = 0.05; jitter = 0.2 };
+        poll = 0.004;
+      }
+    in
+    let fab = Fabric.create ~daemons:[ failing () ] ~config () in
+    Fun.protect ~finally:(fun () -> Fabric.shutdown fab) @@ fun () ->
+    publish (Fabric.ctx fab);
+    ignore (Fabric.run fab);
+    check "fabric"
+      ~dead:(List.length (Fabric.dead_letters fab))
+      ~redeliver:(fun () -> Fabric.redeliver fab)
+  end
+
 let test_pipeline_stats_shape () =
   let orch, _ = build_pipeline () in
   let report = Orchestrator.run orch in
@@ -686,6 +733,7 @@ let () =
             test_redeliver_probe_still_broken_retrips;
           Alcotest.test_case "duplicate message budgets" `Quick test_duplicate_message_budgets;
           Alcotest.test_case "stats shape" `Quick test_pipeline_stats_shape;
+          Alcotest.test_case "dead-letter metrics from both drivers" `Quick test_metrics_parity;
           Alcotest.test_case "missing media dead-letters" `Quick test_missing_media_dead_letters;
           Alcotest.test_case "interactive query formulation" `Quick test_query_formulation_round_trip;
         ] );

@@ -173,7 +173,7 @@ let test_null_schedule () =
     let report = Fabric.run fab in
     check_honesty ~seed:(-1) report;
     Alcotest.(check bool) "quiescent" true report.Fabric.quiescent;
-    Alcotest.(check int) "no deaths" 0 report.Fabric.deaths;
+    Alcotest.(check int) "no deaths" 0 (Fabric.deaths fab);
     Alcotest.(check int) "no dead letters" 0 (List.length report.Fabric.dead_letters);
     check_accounting ~seed:(-1) fab report.Fabric.stats;
     Alcotest.(check bool) "digest matches baseline" true
@@ -212,6 +212,56 @@ let test_agrees_with_orchestrator () =
     Alcotest.(check bool) "fabric = orchestrator" true
       (orch_digest = Lazy.force baseline)
   end
+
+(* {1 A terminator that arrives together with EOF}
+
+   A worker can write its [Done] and die before the parent reads it,
+   so the frame and the EOF arrive in one read burst.  The delivery
+   did finish: it must settle as handled, not be retried as a failure
+   of the dead process. *)
+let test_done_before_death_settles () =
+  if posix then
+    with_temp_dir @@ fun dir ->
+    Sys.mkdir dir 0o700;
+    let marker = Filename.concat dir "slow-returned" in
+    let slow =
+      Daemon.make ~name:"slow" ~topics:[ "t" ] (fun _ _ ->
+          Unix.sleepf 0.3;
+          close_out (open_out marker);
+          [])
+    in
+    let fast = Daemon.make ~name:"fast" ~topics:[ "t" ] (fun _ _ -> []) in
+    (* slot 0 hosts [slow], slot 1 [fast] *)
+    let fab = Fabric.create ~daemons:[ slow; fast ] ~config:(fast_config ~procs:2 ()) () in
+    Bus.publish (Fabric.ctx fab).Daemon.bus { Bus.topic = "t"; subject = 0; payload = [] };
+    (* [fast]'s reply ends turn 1 while [slow] is still handling; at the
+       next turn wait until [slow]'s handler has returned and its
+       [Done] is in the pipe, then kill the process before the parent
+       reads it. *)
+    let killed = ref false in
+    Fabric.set_tick_hook fab
+      (Some
+         (fun turn ->
+           if turn >= 2 && (not !killed) && Fabric.pending_deliveries fab > 0 then begin
+             let deadline = Unix.gettimeofday () +. 5.0 in
+             while (not (Sys.file_exists marker)) && Unix.gettimeofday () < deadline do
+               Unix.sleepf 0.005
+             done;
+             Unix.sleepf 0.1;
+             killed := Sys.file_exists marker && Fabric.kill_worker fab 0;
+             (* let the kernel close the dead process's pipe end, so the
+                parent's next read sees the frame and EOF together *)
+             Unix.sleepf 0.1
+           end));
+    let report = Fabric.run fab in
+    Fabric.set_tick_hook fab None;
+    Fabric.shutdown fab;
+    Alcotest.(check bool) "the slow worker was killed" true !killed;
+    Alcotest.(check int) "its death was observed" 1 (Fabric.deaths fab);
+    let s = List.find (fun (s : Fabric.stats) -> s.Fabric.name = "slow") report.Fabric.stats in
+    Alcotest.(check int) "delivery handled once" 1 s.Fabric.handled;
+    Alcotest.(check int) "not counted as a failure" 0 s.Fabric.failures;
+    Alcotest.(check int) "no dead letters" 0 (List.length (Fabric.dead_letters fab))
 
 (* {1 Kill schedules: SIGKILL real worker processes mid-pipeline} *)
 
@@ -427,6 +477,8 @@ let () =
           Alcotest.test_case "null schedule" `Quick test_null_schedule;
           Alcotest.test_case "fabric agrees with orchestrator" `Quick
             test_agrees_with_orchestrator;
+          Alcotest.test_case "done before death settles" `Quick
+            test_done_before_death_settles;
           Alcotest.test_case "kill schedules (slice)" `Quick test_kill_schedules;
           Alcotest.test_case "durable round trip" `Quick test_durable_round_trip;
           Alcotest.test_case "orchestrator crash schedules" `Quick

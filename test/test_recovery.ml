@@ -588,9 +588,9 @@ let test_fab_record_round_trips () =
   let causes =
     List.concat_map
       (fun text ->
-        [ Record.Fab_failed text; Record.Fab_expired text ])
+        [ Record.Failed text; Record.Expired text ])
       nasty_texts
-    @ [ Record.Fab_overflow ]
+    @ [ Record.Overflow ]
   in
   let records =
     List.concat
@@ -635,12 +635,12 @@ let test_fab_record_round_trips () =
    error. *)
 let test_fab_dead_letter_torn_tail () =
   with_temp_dir @@ fun dir ->
-  let cause = Record.Fab_failed "Failure(\"injected\nfault \\with escapes\")" in
+  let cause = Record.Failed "Failure(\"injected\nfault \\with escapes\")" in
   let t, _ = ok (Dlog.open_ ~dir ()) in
   Dlog.route t (fab_route ~seq:1 ());
   Dlog.route t { (fab_route ~seq:2 ()) with Record.daemon = "autoclass" };
   (match cause with
-  | Record.Fab_failed _ ->
+  | Record.Failed _ ->
     Dlog.dead t ~daemon:"thesaurus" ~seq:1 ~cause ~at:1786300001.25
   | _ -> assert false);
   Dlog.sync t;
@@ -688,7 +688,7 @@ let test_fab_dead_letter_torn_tail () =
           Alcotest.failf "untorn journal lost records";
         (* the nasty cause text survived the WAL byte-for-byte *)
         match dead with
-        | [ (_, Record.Fab_failed text, at) ] ->
+        | [ (_, Record.Failed text, at) ] ->
           Alcotest.(check string)
             "cause text intact" "Failure(\"injected\nfault \\with escapes\")" text;
           Alcotest.(check (float 1e-9)) "timestamp intact" 1786300001.25 at
