@@ -1284,7 +1284,6 @@ let experiment_pchaos () =
             jitter = 0.2;
           };
         max_retries = 2;
-        poll = 0.004;
       }
     in
     let scenes =
@@ -1482,11 +1481,13 @@ let experiment_pchaos () =
        exact pending/dead-letter state from the delivery journal."
   end
 
-(* {1 PARALLEL: morsel-parallel kernel vs the sequential kernel}
+(* {1 PARALLEL: the two schedules of each kernel operator}
 
    Direct operator-level comparison on 1M-row BATs (100k in quick
-   mode): full scans, a hash join and a grouped sum, sequential vs the
-   domain pool at 2 and 4 domains.  Timed with the trace's wall clock —
+   mode): one row per operator that has a parallel path — the three
+   selects, the three calcs, row-aligned calc2, the hashed join and
+   aggr_all — each run once over all rows and under the domain pool at
+   2 and 4 domains.  Timed with the trace's wall clock —
    [Sys.time] sums CPU seconds across domains and would hide any
    speedup.  Every parallel result is checked [Bat.equal] against the
    sequential one (the kernel's determinism contract), and the entry
@@ -1500,46 +1501,51 @@ let experiment_parallel () =
   let cores = Domain.recommended_domain_count () in
   let g = Prng.create 1999 in
   let dense = Column.O (Array.init n (fun i -> i)) in
-  let scan_b = Bat.make dense (Column.I (Array.init n (fun _ -> Prng.int g 1000))) in
+  let ints = Bat.make dense (Column.I (Array.init n (fun _ -> Prng.int g 1000))) in
+  let flts = Bat.make dense (Column.F (Array.init n (fun _ -> Prng.float g 100.0))) in
+  let bools = Bat.make dense (Column.B (Array.init n (fun _ -> Prng.int g 2 = 0))) in
   let m = max 1 (n / 8) in
   let join_l = Bat.make dense (Column.O (Array.init n (fun _ -> Prng.int g m))) in
-  let join_r =
+  (* right heads: a permutation of [0, m), neither dense nor sorted, so
+     the join hashes them *)
+  let hash_r =
     Bat.make
-      (Column.O (Array.init m (fun i -> i)))
+      (Column.O (Array.init m (fun i -> i * 7919 mod m)))
       (Column.I (Array.init m (fun _ -> Prng.int g 1_000_000)))
   in
-  let grp_b =
-    Bat.make
-      (Column.O (Array.init n (fun _ -> Prng.int g 1024)))
-      (Column.I (Array.init n (fun _ -> Prng.int g 1000)))
-  in
+  let scalar v = Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ] in
   let workloads =
     [
-      ( "scan select",
-        (fun () -> Bat.select_cmp scan_b Bat.Lt (Atom.Int 500)),
-        fun pool -> Parkernel.select_cmp pool scan_b Bat.Lt (Atom.Int 500) );
-      ( "hash join",
-        (fun () -> Bat.join join_l join_r),
-        fun pool -> Parkernel.join pool join_l join_r );
-      ( "group sum",
-        (fun () -> Bat.group_aggr Bat.Sum grp_b),
-        fun pool -> Parkernel.group_aggr pool Bat.Sum grp_b );
+      ("select_cmp int", fun sched -> Bat.select_cmp ?sched ints Bat.Lt (Atom.Int 500));
+      ( "select_range flt",
+        fun sched -> Bat.select_range ?sched flts (Atom.Flt 25.0) (Atom.Flt 75.0) );
+      ("select_bool", fun sched -> Bat.select_bool ?sched bools);
+      ("calc1 sqrt flt", fun sched -> Bat.calc1 ?sched Bat.Sqrt flts);
+      ("calc_const add int", fun sched -> Bat.calc_const ?sched Bat.Add ints (Atom.Int 7));
+      ( "const_calc cmp flt",
+        fun sched -> Bat.const_calc ?sched (Bat.CmpOp Bat.Lt) (Atom.Flt 50.0) flts );
+      ("calc2 mul int", fun sched -> Bat.calc2 ?sched Bat.Mul ints ints);
+      ("join hash", fun sched -> Bat.join ?sched join_l hash_r);
+      ("aggr_all sum int", fun sched -> scalar (Bat.aggr_all ?sched Bat.Sum ints));
     ]
   in
-  (* wall clock, not [seconds_per_run]'s CPU clock *)
-  let wall f =
-    ignore (f ());
-    let t0 = Trace.now () in
-    ignore (f ());
-    let est = Float.max (Trace.now () -. t0) 1e-6 in
-    let reps = max 3 (min 25 (int_of_float (0.5 /. est))) in
-    let times =
-      Array.init reps (fun _ ->
-          let t0 = Trace.now () in
-          ignore (f ());
-          Trace.now () -. t0)
+  (* Wall clock, not [seconds_per_run]'s CPU clock.  The schedules of
+     one operator are timed in interleaved rounds, and a speedup is the
+     median of the per-round ratios, so a shift in host load between
+     rounds cannot pass for a speedup or a slowdown. *)
+  let rounds fs =
+    let once f =
+      let t0 = Trace.now () in
+      ignore (f ());
+      Trace.now () -. t0
     in
-    Mirror_util.Stat.median times
+    let est = List.fold_left (fun acc f -> acc +. once f) 1e-6 fs in
+    let reps = max 5 (min 41 (int_of_float (1.0 /. est))) in
+    let times = List.map (fun _ -> Array.make reps 0.0) fs in
+    for r = 0 to reps - 1 do
+      List.iter2 (fun f ts -> ts.(r) <- once f) fs times
+    done;
+    times
   in
   let pools = List.map (fun d -> (d, Parkernel.create d)) [ 2; 4 ] in
   let t =
@@ -1559,51 +1565,53 @@ let experiment_parallel () =
   let digests_equal = ref true in
   let speedup4_min = ref infinity in
   List.iter
-    (fun (label, seq, par) ->
+    (fun (label, run) ->
+      let seq () = run None in
       let expected = seq () in
-      let t_seq = wall seq in
-      let timed =
+      let pars =
         List.map
           (fun (d, pool) ->
-            match par pool with
-            | None ->
+            let jobs = ref 0 in
+            let par () = run (Some (Parkernel.scheduler ~on_run:(fun _ -> incr jobs) pool)) in
+            let got = par () in
+            if !jobs = 0 then begin
               Printf.printf "!! %s: no parallel path at %d domains\n" label d;
-              digests_equal := false;
-              (d, infinity)
-            | Some (got, _) ->
-              if not (Bat.equal expected got) then begin
-                Printf.printf "!! %s: parallel result differs at %d domains\n" label d;
-                digests_equal := false
-              end;
-              let tp =
-                wall (fun () ->
-                    match par pool with
-                    | Some (b, _) -> b
-                    | None -> assert false)
-              in
-              (d, tp))
+              digests_equal := false
+            end;
+            if not (Bat.equal expected got) then begin
+              Printf.printf "!! %s: parallel result differs at %d domains\n" label d;
+              digests_equal := false
+            end;
+            par)
           pools
       in
-      let speedup_at d =
-        match List.assoc_opt d timed with Some tp -> t_seq /. tp | None -> 0.0
+      let median = Mirror_util.Stat.median in
+      let t_seq, timed =
+        match rounds (seq :: pars) with
+        | seqs :: pars ->
+          ( median seqs,
+            List.map2
+              (fun (d, _) ps -> (d, (median ps, median (Array.map2 ( /. ) seqs ps))))
+              pools pars )
+        | [] -> assert false
       in
+      let speedup_at d = match List.assoc_opt d timed with Some (_, x) -> x | None -> 0.0 in
       speedup4_min := Float.min !speedup4_min (speedup_at 4);
       rows :=
         Json.Obj
           ([ ("operator", Json.Str label); ("sequential_ms", json_ms t_seq) ]
           @ List.concat_map
-              (fun (d, tp) ->
+              (fun (d, (tp, x)) ->
                 [
                   (Printf.sprintf "par%d_ms" d, json_ms tp);
-                  (Printf.sprintf "speedup_%d" d, Json.Float (t_seq /. tp));
+                  (Printf.sprintf "speedup_%d" d, Json.Float x);
                 ])
               timed)
         :: !rows;
       Tablefmt.add_row t
         ([ label; ms t_seq ]
         @ List.concat_map
-            (fun (d, tp) ->
-              [ ms tp; Tablefmt.cell_float ~prec:2 (speedup_at d) ^ "x" ])
+            (fun (_, (tp, x)) -> [ ms tp; Tablefmt.cell_float ~prec:2 x ^ "x" ])
             timed))
     workloads;
   List.iter (fun (_, pool) -> Parkernel.shutdown pool) pools;

@@ -16,7 +16,7 @@ end)
 module Ibuf = struct
   type t = { mutable a : int array; mutable n : int }
 
-  let create () = { a = Array.make 16 0; n = 0 }
+  let create ?(cap = 16) () = { a = Array.make (max 16 cap) 0; n = 0 }
 
   let push b v =
     if b.n = Array.length b.a then begin
@@ -52,6 +52,107 @@ module Fbuf = struct
   let set b i v = b.a.(i) <- v
   let finish b = Array.sub b.a 0 b.n
 end
+
+(* {1 Row ranges and schedules}
+
+   Each data-parallel operator is one kernel over a row range
+   [lo, hi).  Without a scheduler the kernel runs once over [0, n).
+   With one, the scheduler splits [0, n) into ranges, runs the kernel
+   on each (possibly on several domains) and returns the per-range
+   results in range order; the operator merges them in that order, so
+   its result is the same under every schedule. *)
+
+type sched = { map : 'a. int -> (int -> int -> 'a) -> 'a array }
+
+let each_range sched n fill =
+  match sched with None -> fill 0 n | Some s -> ignore (s.map n fill)
+
+(* Fresh typed arrays filled range by range: monomorphic loops, no
+   generic array access. *)
+let init_i sched n (f : int -> int) =
+  let o = Array.make n 0 in
+  each_range sched n (fun lo hi ->
+      for i = lo to hi - 1 do
+        o.(i) <- f i
+      done);
+  o
+
+let init_f sched n (f : int -> float) =
+  let o = Array.create_float n in
+  each_range sched n (fun lo hi ->
+      for i = lo to hi - 1 do
+        o.(i) <- f i
+      done);
+  o
+
+let init_b sched n (f : int -> bool) =
+  let o = Array.make n false in
+  each_range sched n (fun lo hi ->
+      for i = lo to hi - 1 do
+        o.(i) <- f i
+      done);
+  o
+
+(* A fresh column of [len] cells gathered from [c], and its filler:
+   [fill src k dst m] sets output rows [dst, dst + m) to the cells of
+   [c] at rows [src.(k)], [src.(k + 1)], ... *)
+let gather_fill ~len c =
+  let out = Column.make (Column.ty c) len in
+  let fill =
+    match (out, c) with
+    | (Column.I o | Column.O o), (Column.I a | Column.O a) ->
+      fun src k dst m ->
+        for t = 0 to m - 1 do
+          o.(dst + t) <- a.(src.(k + t))
+        done
+    | Column.F o, Column.F a ->
+      fun src k dst m ->
+        for t = 0 to m - 1 do
+          o.(dst + t) <- a.(src.(k + t))
+        done
+    | Column.S o, Column.S a ->
+      fun src k dst m ->
+        for t = 0 to m - 1 do
+          o.(dst + t) <- a.(src.(k + t))
+        done
+    | Column.B o, Column.B a ->
+      fun src k dst m ->
+        for t = 0 to m - 1 do
+          o.(dst + t) <- a.(src.(k + t))
+        done
+    | _ -> assert false
+  in
+  (out, fill)
+
+(* Output rows [lo, hi) of the concatenation of [parts] (per-range
+   (buffer, count) row lists, [offsets] their prefix sums), handed to
+   [fill] segment by segment: no concatenated index is ever built. *)
+let segments parts offsets lo hi fill =
+  let k = ref 0 in
+  while !k < Array.length parts && offsets.(!k + 1) <= lo do
+    incr k
+  done;
+  let p = ref lo in
+  while !p < hi do
+    let stop = min hi offsets.(!k + 1) in
+    fill (fst parts.(!k)) (!p - offsets.(!k)) !p (stop - !p);
+    p := stop;
+    incr k
+  done
+
+(* The gather every select and join ends with: head cells at the rows
+   listed by [hparts], tail cells at those of [tparts] (same counts),
+   both columns filled in one pass per output range. *)
+let gather_pair sched hd hparts tl tparts =
+  let nparts = Array.length hparts in
+  let offsets = Array.make (nparts + 1) 0 in
+  Array.iteri (fun k (_, c) -> offsets.(k + 1) <- offsets.(k) + c) hparts;
+  let len = offsets.(nparts) in
+  let hd, fill_hd = gather_fill ~len hd and tl, fill_tl = gather_fill ~len tl in
+  each_range sched len (fun lo hi ->
+      segments hparts offsets lo hi fill_hd;
+      segments tparts offsets lo hi fill_tl);
+  { hd; tl }
 
 let make hd tl =
   if Column.length hd <> Column.length tl then
@@ -275,21 +376,22 @@ let float_cmp c : float -> float -> bool =
 
 (* Positional element-wise application with typed loops where possible;
    both inputs must be row-aligned. *)
-let calc_pos_tails op lt rt =
-  match (op, lt, rt) with
-  | _, Column.I a, Column.I b -> (
+let calc_pos_tails sched op lt rt =
+  let n = Column.length lt in
+  match (lt, rt) with
+  | Column.I a, Column.I b -> (
     match (op, int_binop op) with
-    | _, Some f -> Some (Column.I (Array.init (Array.length a) (fun i -> f a.(i) b.(i))))
+    | _, Some f -> Some (Column.I (init_i sched n (fun i -> f a.(i) b.(i))))
     | CmpOp c, _ ->
       let f = int_cmp c in
-      Some (Column.B (Array.init (Array.length a) (fun i -> f a.(i) b.(i))))
+      Some (Column.B (init_b sched n (fun i -> f a.(i) b.(i))))
     | _ -> None)
-  | _, Column.F a, Column.F b -> (
+  | Column.F a, Column.F b -> (
     match (op, float_binop op) with
-    | _, Some f -> Some (Column.F (Array.init (Array.length a) (fun i -> f a.(i) b.(i))))
+    | _, Some f -> Some (Column.F (init_f sched n (fun i -> f a.(i) b.(i))))
     | CmpOp c, _ ->
       let f = float_cmp c in
-      Some (Column.B (Array.init (Array.length a) (fun i -> f a.(i) b.(i))))
+      Some (Column.B (init_b sched n (fun i -> f a.(i) b.(i))))
     | _ -> None)
   | _ -> None
 
@@ -354,94 +456,79 @@ let number_head b base = { hd = Column.dense base (count b); tl = b.hd }
 let number_tail b base = { hd = Column.dense base (count b); tl = b.tl }
 let project b a = { hd = b.hd; tl = Column.const a (count b) }
 
-let calc1 op b =
+let calc1 ?sched op b =
+  let n = count b in
   let fast =
     match (op, b.tl) with
-    | Not, Column.B a -> Some (Column.B (Array.map not a))
-    | Neg, Column.I a -> Some (Column.I (Array.map (fun x -> -x) a))
-    | Neg, Column.F a -> Some (Column.F (Array.map (fun x -> -.x) a))
-    | Abs, Column.I a -> Some (Column.I (Array.map abs a))
-    | Abs, Column.F a -> Some (Column.F (Array.map Float.abs a))
-    | ToFlt, Column.I a -> Some (Column.F (Array.map Float.of_int a))
+    | Not, Column.B a -> Some (Column.B (init_b sched n (fun i -> not a.(i))))
+    | Neg, Column.I a -> Some (Column.I (init_i sched n (fun i -> - a.(i))))
+    | Neg, Column.F a -> Some (Column.F (init_f sched n (fun i -> -.a.(i))))
+    | Abs, Column.I a -> Some (Column.I (init_i sched n (fun i -> abs a.(i))))
+    | Abs, Column.F a -> Some (Column.F (init_f sched n (fun i -> Float.abs a.(i))))
+    | ToFlt, Column.I a -> Some (Column.F (init_f sched n (fun i -> Float.of_int a.(i))))
     | ToFlt, Column.F a -> Some (Column.F (Array.copy a))
-    | Log, Column.I a -> Some (Column.F (Array.map (fun x -> log (Float.of_int x)) a))
-    | Log, Column.F a -> Some (Column.F (Array.map log a))
-    | Exp, Column.I a -> Some (Column.F (Array.map (fun x -> exp (Float.of_int x)) a))
-    | Exp, Column.F a -> Some (Column.F (Array.map exp a))
-    | Sqrt, Column.I a -> Some (Column.F (Array.map (fun x -> sqrt (Float.of_int x)) a))
-    | Sqrt, Column.F a -> Some (Column.F (Array.map sqrt a))
+    | Log, Column.I a -> Some (Column.F (init_f sched n (fun i -> log (Float.of_int a.(i)))))
+    | Log, Column.F a -> Some (Column.F (init_f sched n (fun i -> log a.(i))))
+    | Exp, Column.I a -> Some (Column.F (init_f sched n (fun i -> exp (Float.of_int a.(i)))))
+    | Exp, Column.F a -> Some (Column.F (init_f sched n (fun i -> exp a.(i))))
+    | Sqrt, Column.I a -> Some (Column.F (init_f sched n (fun i -> sqrt (Float.of_int a.(i)))))
+    | Sqrt, Column.F a -> Some (Column.F (init_f sched n (fun i -> sqrt a.(i))))
     | _ -> None
   in
   match fast with
   | Some out -> { hd = b.hd; tl = out }
   | None ->
     (* unsupported operand types: boxed loop for its error reporting *)
-    let n = count b in
     let out = Column.make (unop_result_ty op (tty b)) n in
     for i = 0 to n - 1 do
       Column.set out i (apply_unop op (tail_at b i))
     done;
     { hd = b.hd; tl = out }
 
-let calc_const op b a =
+(* [tail op a] per row, or [a op tail] when [flip]; the typed kernel is
+   picked (and flipped) once per call. *)
+let calc_with_const sched ~flip op b a =
+  let n = count b in
+  let flipped f = if flip then fun x y -> f y x else f in
   let fast =
     match (b.tl, a) with
     | Column.I arr, Atom.Int v -> (
       match (op, int_binop op) with
-      | _, Some f -> Some (Column.I (Array.map (fun x -> f x v) arr))
+      | _, Some f ->
+        let f = flipped f in
+        Some (Column.I (init_i sched n (fun i -> f arr.(i) v)))
       | CmpOp c, _ ->
-        let f = int_cmp c in
-        Some (Column.B (Array.map (fun x -> f x v) arr))
+        let f = flipped (int_cmp c) in
+        Some (Column.B (init_b sched n (fun i -> f arr.(i) v)))
       | _ -> None)
     | Column.F arr, Atom.Flt v -> (
       match (op, float_binop op) with
-      | _, Some f -> Some (Column.F (Array.map (fun x -> f x v) arr))
+      | _, Some f ->
+        let f = flipped f in
+        Some (Column.F (init_f sched n (fun i -> f arr.(i) v)))
       | CmpOp c, _ ->
-        let f = float_cmp c in
-        Some (Column.B (Array.map (fun x -> f x v) arr))
+        let f = flipped (float_cmp c) in
+        Some (Column.B (init_b sched n (fun i -> f arr.(i) v)))
       | _ -> None)
     | _ -> None
   in
   match fast with
   | Some out -> { hd = b.hd; tl = out }
   | None ->
-    let n = count b in
-    let out = Column.make (binop_result_ty op (tty b) (Atom.type_of a)) n in
+    let ty = binop_result_ty op in
+    let out = Column.make ((flipped ty) (tty b) (Atom.type_of a)) n in
+    let apply = flipped (apply_binop op) in
     for i = 0 to n - 1 do
-      Column.set out i (apply_binop op (tail_at b i) a)
+      Column.set out i (apply (tail_at b i) a)
     done;
     { hd = b.hd; tl = out }
 
-let const_calc op a b =
-  let fast =
-    match (a, b.tl) with
-    | Atom.Int v, Column.I arr -> (
-      match (op, int_binop op) with
-      | _, Some f -> Some (Column.I (Array.map (fun x -> f v x) arr))
-      | CmpOp c, _ ->
-        let f = int_cmp c in
-        Some (Column.B (Array.map (fun x -> f v x) arr))
-      | _ -> None)
-    | Atom.Flt v, Column.F arr -> (
-      match (op, float_binop op) with
-      | _, Some f -> Some (Column.F (Array.map (fun x -> f v x) arr))
-      | CmpOp c, _ ->
-        let f = float_cmp c in
-        Some (Column.B (Array.map (fun x -> f v x) arr))
-      | _ -> None)
-    | _ -> None
-  in
-  match fast with
-  | Some out -> { hd = b.hd; tl = out }
-  | None ->
-    let n = count b in
-    let out = Column.make (binop_result_ty op (Atom.type_of a) (tty b)) n in
-    for i = 0 to n - 1 do
-      Column.set out i (apply_binop op a (tail_at b i))
-    done;
-    { hd = b.hd; tl = out }
+let calc_const ?sched op b a = calc_with_const sched ~flip:false op b a
+let const_calc ?sched op a b = calc_with_const sched ~flip:true op b a
 
-let take b idx = { hd = Column.gather b.hd idx; tl = Column.gather b.tl idx }
+let take b idx =
+  let parts = [| (idx, Array.length idx) |] in
+  gather_pair None b.hd parts b.tl parts
 
 let slice b pos len =
   let n = count b in
@@ -515,50 +602,63 @@ let unique_head b =
 
 (* {1 Selections} *)
 
-let select_indices pred b =
-  let keep = Ibuf.create () in
-  for i = 0 to count b - 1 do
-    if pred i then Ibuf.push keep i
+(* Rows of [lo, hi) satisfying [pred], ascending: the first [c] cells
+   of the returned buffer. *)
+let survivors pred lo hi =
+  let buf = Array.make (hi - lo) 0 in
+  let c = ref 0 in
+  for i = lo to hi - 1 do
+    if pred i then begin
+      buf.(!c) <- i;
+      incr c
+    end
   done;
-  take b (Ibuf.finish keep)
+  (buf, !c)
 
-let select_cmp b c a =
+let select_indices ?sched pred b =
+  let n = count b in
+  let parts =
+    match sched with None -> [| survivors pred 0 n |] | Some s -> s.map n (survivors pred)
+  in
+  gather_pair sched b.hd parts b.tl parts
+
+let select_cmp ?sched b c a =
   match (b.tl, a) with
   | (Column.I arr | Column.O arr), (Atom.Int v | Atom.Oid v)
     when Atom.type_of a = Column.ty b.tl ->
     let f = int_cmp c in
-    select_indices (fun i -> f arr.(i) v) b
+    select_indices ?sched (fun i -> f arr.(i) v) b
   | Column.F arr, Atom.Flt v ->
     let f = float_cmp c in
-    select_indices (fun i -> f arr.(i) v) b
+    select_indices ?sched (fun i -> f arr.(i) v) b
   | Column.S arr, Atom.Str v ->
     let f = int_cmp c in
-    select_indices (fun i -> f (String.compare arr.(i) v) 0) b
-  | _ -> select_indices (fun i -> apply_cmp c (tail_at b i) a) b
+    select_indices ?sched (fun i -> f (String.compare arr.(i) v) 0) b
+  | _ -> select_indices ?sched (fun i -> apply_cmp c (tail_at b i) a) b
 
-let select_range b lo hi =
+let select_range ?sched b lo hi =
   match (b.tl, lo, hi) with
   | (Column.I arr | Column.O arr), (Atom.Int l | Atom.Oid l), (Atom.Int h | Atom.Oid h)
     when Atom.type_of lo = Column.ty b.tl && Atom.type_of hi = Column.ty b.tl ->
-    select_indices (fun i -> l <= arr.(i) && arr.(i) <= h) b
+    select_indices ?sched (fun i -> l <= arr.(i) && arr.(i) <= h) b
   | Column.F arr, Atom.Flt l, Atom.Flt h ->
-    select_indices
+    select_indices ?sched
       (fun i -> Float.compare l arr.(i) <= 0 && Float.compare arr.(i) h <= 0)
       b
   | Column.S arr, Atom.Str l, Atom.Str h ->
-    select_indices
+    select_indices ?sched
       (fun i -> String.compare l arr.(i) <= 0 && String.compare arr.(i) h <= 0)
       b
   | _ ->
-    select_indices
+    select_indices ?sched
       (fun i ->
         let t = tail_at b i in
         Atom.compare lo t <= 0 && Atom.compare t hi <= 0)
       b
 
-let select_bool b =
+let select_bool ?sched b =
   match b.tl with
-  | Column.B arr -> select_indices (fun i -> arr.(i)) b
+  | Column.B arr -> select_indices ?sched (fun i -> arr.(i)) b
   | _ -> invalid_arg "Bat.select_bool: tail is not boolean"
 
 let filter pred b = select_indices (fun i -> pred (head_at b i) (tail_at b i)) b
@@ -582,76 +682,85 @@ let membership_index c =
   done;
   tbl
 
-let join_generic l r =
-  let idx = positions_index r.hd in
-  let li = Ibuf.create () and rj = Ibuf.create () in
-  for i = 0 to count l - 1 do
-    match AtomTbl.find_opt idx (tail_at l i) with
-    | None -> ()
-    | Some js ->
-      List.iter
-        (fun j ->
-          Ibuf.push li i;
-          Ibuf.push rj j)
-        js
-  done;
-  { hd = Column.gather l.hd (Ibuf.finish li); tl = Column.gather r.tl (Ibuf.finish rj) }
+(* Every join runs here: [probe lo hi li rj] pushes the (left row, right
+   row) matches of left rows [lo, hi) in ascending order; concatenated
+   in range order they are the whole join, which both columns then
+   gather. *)
+let join_rows sched l r probe =
+  (* sized for one match per left row: exact for dense and merge joins,
+     the usual case for hash joins *)
+  let range lo hi =
+    let li = Ibuf.create ~cap:(hi - lo) () and rj = Ibuf.create ~cap:(hi - lo) () in
+    probe lo hi li rj;
+    ((li.Ibuf.a, li.Ibuf.n), (rj.Ibuf.a, rj.Ibuf.n))
+  in
+  let parts =
+    match sched with None -> [| range 0 (count l) |] | Some s -> s.map (count l) range
+  in
+  gather_pair sched l.hd (Array.map fst parts) r.tl (Array.map snd parts)
 
-let join_int l r lt rh =
-  let li = Ibuf.create () and rj = Ibuf.create () in
-  (match dense_base rh with
-  | Some base ->
-    (* void head: position arithmetic, keys are unique *)
-    let nr = Array.length rh in
-    for i = 0 to Array.length lt - 1 do
-      let j = lt.(i) - base in
-      if j >= 0 && j < nr then begin
-        Ibuf.push li i;
-        Ibuf.push rj j
-      end
-    done
-  | None ->
-    if is_nondecreasing lt && is_strictly_increasing rh then begin
-      (* merge join over sorted oid columns *)
-      let nr = Array.length rh in
-      let j = ref 0 in
-      for i = 0 to Array.length lt - 1 do
-        while !j < nr && rh.(!j) < lt.(i) do
-          incr j
-        done;
-        if !j < nr && rh.(!j) = lt.(i) then begin
-          Ibuf.push li i;
-          Ibuf.push rj !j
-        end
-      done
-    end
-    else begin
-      let idx = Hashtbl.create (Array.length rh) in
-      for j = Array.length rh - 1 downto 0 do
-        let rest = try Hashtbl.find idx rh.(j) with Not_found -> [] in
-        Hashtbl.replace idx rh.(j) (j :: rest)
-      done;
-      for i = 0 to Array.length lt - 1 do
-        match Hashtbl.find_opt idx lt.(i) with
-        | None -> ()
-        | Some js ->
-          List.iter
-            (fun j ->
-              Ibuf.push li i;
-              Ibuf.push rj j)
-            js
-      done
-    end);
-  { hd = Column.gather l.hd (Ibuf.finish li); tl = Column.gather r.tl (Ibuf.finish rj) }
+let push_matches li rj i js =
+  List.iter
+    (fun j ->
+      Ibuf.push li i;
+      Ibuf.push rj j)
+    js
 
-let join l r =
+let join ?sched l r =
   if tty l <> hty r then
     invalid_arg
       (Printf.sprintf "Bat.join: tail type %s does not match head type %s"
          (Atom.ty_name (tty l)) (Atom.ty_name (hty r)));
   match (l.tl, r.hd) with
-  | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) -> join_int l r lt rh
-  | _ -> join_generic l r
+  | (Column.I lt | Column.O lt), (Column.I rh | Column.O rh) -> (
+    let nr = Array.length rh in
+    (* Dense and merge probes cost a few instructions per row; split
+       over two domains they ran at 0.87-1.17x and 0.73-0.98x of one
+       range at 100k rows, so they run in one range.  Hashed probes
+       keep the schedule. *)
+    match dense_base rh with
+    | Some base ->
+      (* void head: position arithmetic, keys are unique *)
+      join_rows None l r (fun lo hi li rj ->
+          for i = lo to hi - 1 do
+            let j = lt.(i) - base in
+            if j >= 0 && j < nr then begin
+              Ibuf.push li i;
+              Ibuf.push rj j
+            end
+          done)
+    | None when is_nondecreasing lt && is_strictly_increasing rh ->
+      (* merge join over sorted oid columns *)
+      join_rows None l r (fun lo hi li rj ->
+          let j = ref 0 in
+          for i = lo to hi - 1 do
+            while !j < nr && rh.(!j) < lt.(i) do
+              incr j
+            done;
+            if !j < nr && rh.(!j) = lt.(i) then begin
+              Ibuf.push li i;
+              Ibuf.push rj !j
+            end
+          done)
+    | None ->
+      let idx = Hashtbl.create nr in
+      for j = nr - 1 downto 0 do
+        Hashtbl.replace idx rh.(j) (j :: Option.value ~default:[] (Hashtbl.find_opt idx rh.(j)))
+      done;
+      join_rows sched l r (fun lo hi li rj ->
+          for i = lo to hi - 1 do
+            match Hashtbl.find_opt idx lt.(i) with
+            | None -> ()
+            | Some js -> push_matches li rj i js
+          done))
+  | _ ->
+    let idx = positions_index r.hd in
+    join_rows sched l r (fun lo hi li rj ->
+        for i = lo to hi - 1 do
+          match AtomTbl.find_opt idx (tail_at l i) with
+          | None -> ()
+          | Some js -> push_matches li rj i js
+        done)
 
 let leftouterjoin l r default =
   if Atom.type_of default <> tty r then
@@ -788,10 +897,10 @@ let calc2_generic op l r positions =
   done;
   { hd = Column.Builder.finish hb; tl = Column.Builder.finish tb }
 
-let calc2 op l r =
+let calc2 ?sched op l r =
   if count l = count r && same_int_heads l r then
     (* row-aligned operands: positional typed loop when available *)
-    match calc_pos_tails op l.tl r.tl with
+    match calc_pos_tails sched op l.tl r.tl with
     | Some out -> { hd = l.hd; tl = out }
     | None -> calc2_generic op l r (fun i -> Some i)
   else
@@ -808,7 +917,7 @@ let calc2 op l r =
 
 let calc2_pos op l r =
   if count l <> count r then invalid_arg "Bat.calc2_pos: length mismatch";
-  match calc_pos_tails op l.tl r.tl with
+  match calc_pos_tails None op l.tl r.tl with
   | Some out -> { hd = l.hd; tl = out }
   | None ->
     let out = Column.make (binop_result_ty op (tty l) (tty r)) (count l) in
@@ -1044,76 +1153,62 @@ let group_aggr op b =
     done;
     { hd = Column.Builder.finish keys; tl = out }
 
-let aggr_all op b =
+(* The typed folds over rows [lo, hi) (non-empty), seeded with the
+   first row; the step is picked once per call.  Int steps (modular
+   arithmetic, [Int.min]/[Int.max]) and float [Min]/[Max] are
+   associative, so per-range partials folded again in range order give
+   the same bits as one fold; float [Sum]/[Prod]/[Avg] are not and are
+   only ever folded over the whole input. *)
+let fold_int op (ts : int array) lo hi =
+  let s = ref ts.(lo) in
+  (match op with
+  | Sum -> for i = lo + 1 to hi - 1 do s := !s + ts.(i) done
+  | Prod -> for i = lo + 1 to hi - 1 do s := !s * ts.(i) done
+  | Min -> for i = lo + 1 to hi - 1 do s := Int.min !s ts.(i) done
+  | Max -> for i = lo + 1 to hi - 1 do s := Int.max !s ts.(i) done
+  | Count | Avg -> invalid_arg "Bat.fold_int");
+  !s
+
+let fold_flt op (ts : float array) lo hi =
+  let s = ref ts.(lo) in
+  (match op with
+  | Sum | Avg -> for i = lo + 1 to hi - 1 do s := !s +. ts.(i) done
+  | Prod -> for i = lo + 1 to hi - 1 do s := !s *. ts.(i) done
+  | Min -> for i = lo + 1 to hi - 1 do s := Float.min !s ts.(i) done
+  | Max -> for i = lo + 1 to hi - 1 do s := Float.max !s ts.(i) done
+  | Count -> invalid_arg "Bat.fold_flt");
+  !s
+
+let fold_ranges sched fold ts n =
+  match sched with
+  | None -> fold ts 0 n
+  | Some s ->
+    let parts = s.map n (fold ts) in
+    fold parts 0 (Array.length parts)
+
+let aggr_all ?sched op b =
   let n = count b in
   if n = 0 then
     match aggr_neutral op (tty b) with
     | Some v -> v
     | None -> invalid_arg "Bat.aggr_all: empty input for min/max/avg"
   else begin
-    (* monomorphic folds for the numeric tails; the boxed loop remains
-       for compare-based min/max over strings/bools/oids *)
+    (* typed folds for the numeric tails; the boxed loop remains for
+       compare-based min/max over strings/bools/oids *)
     let fast =
       match (op, b.tl) with
       | Count, _ -> Some (Atom.Int n)
-      | Sum, Column.I ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := !s + ts.(i)
-        done;
-        Some (Atom.Int !s)
-      | Prod, Column.I ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := !s * ts.(i)
-        done;
-        Some (Atom.Int !s)
-      | Min, Column.I ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := min !s ts.(i)
-        done;
-        Some (Atom.Int !s)
-      | Max, Column.I ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := max !s ts.(i)
-        done;
-        Some (Atom.Int !s)
-      | Sum, Column.F ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := !s +. ts.(i)
-        done;
-        Some (Atom.Flt !s)
-      | Prod, Column.F ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := !s *. ts.(i)
-        done;
-        Some (Atom.Flt !s)
-      | Min, Column.F ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := Float.min !s ts.(i)
-        done;
-        Some (Atom.Flt !s)
-      | Max, Column.F ts ->
-        let s = ref ts.(0) in
-        for i = 1 to n - 1 do
-          s := Float.max !s ts.(i)
-        done;
-        Some (Atom.Flt !s)
+      | (Sum | Prod | Min | Max), Column.I ts -> Some (Atom.Int (fold_ranges sched (fold_int op) ts n))
+      | (Min | Max), Column.F ts -> Some (Atom.Flt (fold_ranges sched (fold_flt op) ts n))
+      | (Sum | Prod), Column.F ts -> Some (Atom.Flt (fold_flt op ts 0 n))
+      | Avg, Column.F ts ->
+        (* the average sums from 0.0: adding 0.0 to the first-row-seeded
+           sum gives exactly that (it only turns -0.0 into 0.0) *)
+        Some (Atom.Flt ((0.0 +. fold_flt op ts 0 n) /. Float.of_int n))
       | Avg, Column.I ts ->
         let s = ref 0.0 in
         for i = 0 to n - 1 do
           s := !s +. Float.of_int ts.(i)
-        done;
-        Some (Atom.Flt (!s /. Float.of_int n))
-      | Avg, Column.F ts ->
-        let s = ref 0.0 in
-        for i = 0 to n - 1 do
-          s := !s +. ts.(i)
         done;
         Some (Atom.Flt (!s /. Float.of_int n))
       | _ -> None

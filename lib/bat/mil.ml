@@ -202,36 +202,31 @@ let op_name = function
 (* Attribute a parallel execution to the operator's open trace span
    and the session counters.  Only the main domain gets here — workers
    never touch Trace or Metrics. *)
-let note_par s pool (st : Parkernel.runstat) =
+let note_par s pool morsels =
   s.st.par_ops <- s.st.par_ops + 1;
-  s.st.par_morsels <- s.st.par_morsels + st.morsels;
+  s.st.par_morsels <- s.st.par_morsels + morsels;
   if Mirror_util.Trace.is_on s.tr then
     Mirror_util.Trace.attr s.tr "par"
-      (Printf.sprintf "%dd/%dm" (Parkernel.size pool) st.morsels);
+      (Printf.sprintf "%dd/%dm" (Parkernel.size pool) morsels);
   if Mirror_util.Metrics.enabled () then begin
     Mirror_util.Metrics.incr "mil.par.ops";
-    Mirror_util.Metrics.incr ~by:st.morsels "mil.par.morsels"
+    Mirror_util.Metrics.incr ~by:morsels "mil.par.morsels"
   end
 
-(* Run the operator data-parallel when the session has a pool, Effcheck
-   proved this node's partition effect-free, and the parallel kernel
-   has a deterministic typed path for the operands; otherwise fall back
-   to the sequential kernel. *)
-let try_par s plan seq par_fn =
+(* Hand the operator a scheduler over the session's pool when Effcheck
+   proved this node's partition effect-free; otherwise it runs
+   sequentially.  The operator counts as parallel when it actually put
+   work on the pool (a typed kernel over at least [min_rows] rows). *)
+let with_sched s plan run =
   match s.par with
-  | Some { pool; safe; morsel } when safe plan -> (
-    let run () = par_fn pool in
-    let r =
-      match morsel plan with
-      | Some m -> Parkernel.with_morsel_size m run
-      | None -> run ()
-    in
-    match r with
-    | Some (r, st) ->
-      note_par s pool st;
-      r
-    | None -> seq ())
-  | _ -> seq ()
+  | Some { pool; safe; morsel } when safe plan ->
+    let morsels = ref 0 in
+    let on_run (st : Parkernel.runstat) = morsels := !morsels + st.morsels in
+    let go () = run (Some (Parkernel.scheduler ~on_run pool)) in
+    let r = match morsel plan with Some m -> Parkernel.with_morsel_size m go | None -> go () in
+    if !morsels > 0 then note_par s pool !morsels;
+    r
+  | _ -> run None
 
 let rec eval s plan =
   match if s.cse then Tbl.find_opt s.memo plan else None with
@@ -282,38 +277,28 @@ and eval_raw s plan =
   | Project (p, a) -> Bat.project (eval s p) a
   | Calc1 (op, p) ->
     let b = eval s p in
-    try_par s plan (fun () -> Bat.calc1 op b) (fun pool -> Parkernel.calc1 pool op b)
+    with_sched s plan (fun sched -> Bat.calc1 ?sched op b)
   | CalcConst (op, p, a) ->
     let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.calc_const op b a)
-      (fun pool -> Parkernel.calc_const pool op b a)
+    with_sched s plan (fun sched -> Bat.calc_const ?sched op b a)
   | ConstCalc (op, a, p) ->
     let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.const_calc op a b)
-      (fun pool -> Parkernel.const_calc pool op a b)
+    with_sched s plan (fun sched -> Bat.const_calc ?sched op a b)
   | Calc2 (op, l, r) ->
     let lb = eval s l and rb = eval s r in
-    try_par s plan
-      (fun () -> Bat.calc2 op lb rb)
-      (fun pool -> Parkernel.calc2 pool op lb rb)
+    with_sched s plan (fun sched -> Bat.calc2 ?sched op lb rb)
   | SelectCmp (p, c, a) ->
     let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.select_cmp b c a)
-      (fun pool -> Parkernel.select_cmp pool b c a)
+    with_sched s plan (fun sched -> Bat.select_cmp ?sched b c a)
   | SelectRange (p, lo, hi) ->
     let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.select_range b lo hi)
-      (fun pool -> Parkernel.select_range pool b lo hi)
+    with_sched s plan (fun sched -> Bat.select_range ?sched b lo hi)
   | SelectBool p ->
     let b = eval s p in
-    try_par s plan (fun () -> Bat.select_bool b) (fun pool -> Parkernel.select_bool pool b)
+    with_sched s plan (fun sched -> Bat.select_bool ?sched b)
   | Join (l, r) ->
     let lb = eval s l and rb = eval s r in
-    try_par s plan (fun () -> Bat.join lb rb) (fun pool -> Parkernel.join pool lb rb)
+    with_sched s plan (fun sched -> Bat.join ?sched lb rb)
   | LeftOuterJoin (l, r, d) -> Bat.leftouterjoin (eval s l) (eval s r) d
   | Semijoin (l, r) -> Bat.semijoin (eval s l) (eval s r)
   | Antijoin (l, r) -> Bat.antijoin (eval s l) (eval s r)
@@ -324,16 +309,10 @@ and eval_raw s plan =
   | Append (l, r) -> Bat.append (eval s l) (eval s r)
   | Unique p -> Bat.unique (eval s p)
   | UniqueHead p -> Bat.unique_head (eval s p)
-  | GroupAggr (op, p) ->
-    let b = eval s p in
-    try_par s plan
-      (fun () -> Bat.group_aggr op b)
-      (fun pool -> Parkernel.group_aggr pool op b)
+  | GroupAggr (op, p) -> Bat.group_aggr op (eval s p)
   | AggrAll (op, p) ->
     let b = eval s p in
-    let v =
-      try_par s plan (fun () -> Bat.aggr_all op b) (fun pool -> Parkernel.aggr_all pool op b)
-    in
+    let v = with_sched s plan (fun sched -> Bat.aggr_all ?sched op b) in
     Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ]
   | GroupRank { link; key; desc } -> Bat.group_rank ~desc ~link:(eval s link) (eval s key)
   | SortTail (p, desc) -> Bat.sort_tail ~desc (eval s p)

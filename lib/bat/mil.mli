@@ -65,17 +65,17 @@ type stats = {
   mutable evaluated : int;  (** Operator nodes actually executed. *)
   mutable memo_hits : int;  (** Nodes answered from the memo table. *)
   mutable rows_produced : int;  (** Total rows over executed nodes. *)
-  mutable par_ops : int;  (** Operators executed on the parallel kernel. *)
+  mutable par_ops : int;  (** Operators that put work on the domain pool. *)
   mutable par_morsels : int;  (** Morsels scheduled across those operators. *)
 }
 
 type par = { pool : Parkernel.pool; safe : t -> bool; morsel : t -> int option }
 (** Parallel-execution licence for a session: the domain pool to run
     on, and the Effcheck verdict predicate ({!Effcheck.verdict.safe})
-    deciding per node whether its partition is effect-free.  Operators
-    whose node is unsafe — or whose operands have no deterministic
-    parallel path — run the sequential kernel; results are identical
-    either way.  [morsel] is an optional per-node morsel-size hint
+    deciding per node whether its partition is effect-free.  A safe
+    node's operator gets a {!Parkernel.scheduler} over the pool;
+    unsafe nodes, [GroupAggr] and operands without a typed range kernel
+    run in one range; results are identical either way.  [morsel] is an optional per-node morsel-size hint
     (typically [Parkernel.morsel_for] over a [Boundcheck] row
     estimate): when it returns [Some m] the node's parallel dispatch
     runs under {!Parkernel.with_morsel_size}[ m], so small inputs are

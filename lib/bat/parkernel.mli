@@ -1,20 +1,23 @@
-(** Morsel-driven parallel kernel on OCaml 5 domains.
+(** The morsel scheduler on OCaml 5 domains.
 
-    A {!type-pool} owns [size - 1] worker domains (the caller is the
-    remaining participant); {!run_tasks} hands out task indices through
-    an atomic counter — morsel-at-a-time work stealing — and joins the
-    pool before returning, so parallelism never escapes one operator
-    call.  Results are written into caller-preallocated per-morsel
-    slots and merged {e in morsel order}, which is what makes every
-    parallel operator bitwise-identical to its sequential twin.
+    One kernel, two schedules: every data-parallel BAT operator is
+    written once, in {!Bat}, as a kernel over a row range, and runs
+    either once over all rows or range by range under a {!Bat.sched}.
+    This module holds only the second schedule.  A {!type-pool} owns
+    [size - 1] worker domains (the caller is the remaining
+    participant); {!run_tasks} hands out task indices through an atomic
+    counter — morsel-at-a-time work stealing — and joins the pool
+    before returning, so parallelism never escapes one operator call.
+    Per-range results come back {e in morsel order}, which is what
+    keeps every operator bitwise-identical under every schedule.
 
-    The parallel operators below return [None] when no deterministic
-    typed path exists ([Sum]/[Avg] over floats is deliberately not
-    parallelised: float addition is not associative, so a morsel-order
-    merge could change low bits) or when the input is below
-    {!min_rows}; the caller then falls back to the sequential kernel.
-    The scheduler itself never inspects effect verdicts — gating on
-    {!Effcheck} safety is the executor's job ({!Mil.par}).
+    Grouped aggregation has no parallel path: per-morsel partial tables
+    merged in morsel order ran at 0.07–0.51× of the sequential kernel
+    on two cores.  Dense and merge joins (a few instructions per row)
+    and float [Sum]/[Prod]/[Avg] folds (float addition is not
+    associative) also stay in one range.  The scheduler never inspects
+    effect verdicts — gating on {!Effcheck} safety is the executor's job
+    ({!Mil.par}).
 
     Pools must only be driven from the domain that created them; worker
     tasks must not touch domain-unsafe globals ({!Mirror_util.Metrics},
@@ -107,44 +110,17 @@ val map_ranges : pool -> int -> (int -> int -> 'a) -> 'a array * runstat
 val with_pool : pool -> (unit -> 'a) -> 'a
 val current : unit -> pool option
 
-(** {1 Parallel operators}
+(** {1 The scheduler}
 
-    Each is the morsel-partitioned twin of the same-named {!Bat}
-    operator and returns the identical BAT (same values, same row
-    order; fresh output columns exactly where the sequential kernel
-    allocates fresh columns) plus its {!runstat}, or [None] to decline
-    (untyped operands, below {!min_rows}, or a non-associative float
-    aggregate). *)
+    [Bat]'s data-parallel operators run over row ranges and take an
+    optional {!Bat.sched}; this turns a pool into one. *)
 
-val select_cmp : pool -> Bat.t -> Bat.cmp -> Atom.t -> (Bat.t * runstat) option
-val select_range : pool -> Bat.t -> Atom.t -> Atom.t -> (Bat.t * runstat) option
-val select_bool : pool -> Bat.t -> (Bat.t * runstat) option
-val calc1 : pool -> Bat.unop -> Bat.t -> (Bat.t * runstat) option
-val calc_const : pool -> Bat.binop -> Bat.t -> Atom.t -> (Bat.t * runstat) option
-val const_calc : pool -> Bat.binop -> Atom.t -> Bat.t -> (Bat.t * runstat) option
-
-val calc2 : pool -> Bat.binop -> Bat.t -> Bat.t -> (Bat.t * runstat) option
-(** Only the row-aligned fast path (equal counts, equal int/oid heads)
-    parallelises; the head-matching generic path declines. *)
-
-val join : pool -> Bat.t -> Bat.t -> (Bat.t * runstat) option
-(** Int/oid key columns only.  The build side is hashed in [size p]
-    ascending chunks built concurrently; probes consult the chunk
-    tables in ascending order, reproducing the sequential hash join's
-    (ascending left row, ascending right row) output order exactly. *)
-
-val group_aggr : pool -> Bat.aggr -> Bat.t -> (Bat.t * runstat) option
-(** Int/oid heads with [Count], int [Sum]/[Min]/[Max], or float
-    [Min]/[Max] tails.  Per-morsel partial tables are merged in morsel
-    order, so group keys keep their global first-occurrence order and
-    the merged accumulators are domain-count independent (int addition
-    is modular-associative; [Float.min]/[Float.max] are associative and
-    NaN-propagating in either association). *)
-
-val aggr_all : pool -> Bat.aggr -> Bat.t -> (Atom.t * runstat) option
-(** Int [Sum]/[Prod]/[Min]/[Max] and float [Min]/[Max].  [Count] is
-    O(1) sequentially and float [Sum]/[Avg]/[Prod] are
-    order-sensitive, so those decline. *)
+val scheduler : ?on_run:(runstat -> unit) -> pool -> Bat.sched
+(** [scheduler p] splits [[0, n)] into {!morsel_size} ranges (or the
+    {!with_morsel_size} override) and runs them on [p] through
+    {!map_ranges}, calling [on_run] with each job's {!runstat}.  An
+    empty input, or one below {!min_rows}, runs as one range on the
+    calling domain, without touching the pool or calling [on_run]. *)
 
 (** {1 Pool-lifetime statistics} *)
 

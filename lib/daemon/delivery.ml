@@ -125,6 +125,27 @@ let expire t name =
          add_dead t name dv
            (Deadletter.Expired (Supervisor.state_to_string (Supervisor.state t.sup name))))
 
+(* Only daemons with queued work count: an idle daemon's breaker or
+   deadlines unblock nothing. *)
+let wake_at t =
+  let earlier acc = function
+    | Some x when (match acc with Some a -> x < a | None -> true) -> Some x
+    | _ -> acc
+  in
+  List.fold_left
+    (fun acc (d : Daemon.t) ->
+      let name = d.Daemon.name in
+      if Bus.pending_for t.context.Daemon.bus ~name = 0 then acc
+      else begin
+        let acc = ref (earlier acc (Supervisor.waiting_until t.sup name)) in
+        ignore
+          (Bus.sweep t.context.Daemon.bus ~name ~keep:(fun (dv : Bus.delivery) ->
+               acc := earlier !acc dv.Bus.deadline;
+               true));
+        !acc
+      end)
+    None t.daemons
+
 (* A barrier delivery is held while any awaited topic still has
    deliveries queued, in flight or dead-lettered: the downstream daemon
    must not consume its trigger before upstream work has resolved. *)

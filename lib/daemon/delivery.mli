@@ -104,6 +104,12 @@ val expire : t -> string -> unit
 (** Stamp one daemon's fresh deliveries with their deadline and
     dead-letter the overdue ones as [Expired]. *)
 
+val wake_at : t -> float option
+(** The earliest instant at which the clock alone can unblock queued
+    work: a stamped delivery deadline or the reopen time of an open
+    breaker guarding pending deliveries.  [None] when no such instant
+    exists.  A run loop with no reply owed sleeps until then. *)
+
 val next : ?in_flight:(string -> bool) -> t -> name:string -> Bus.delivery option
 (** The next delivery to execute for daemon [name], with its attempt
     counted; [None] when the breaker is open, the queue is empty, or

@@ -18,7 +18,6 @@ type config = {
   breaker : Supervisor.config;
   barriers : (string * string list) list;
   max_retries : int;
-  poll : float;
 }
 
 let default_config =
@@ -31,7 +30,6 @@ let default_config =
     breaker = d.Delivery.breaker;
     barriers = d.Delivery.barriers;
     max_retries = 2;
-    poll = 0.02;
   }
 
 type stats = Delivery.daemon_stats = {
@@ -576,6 +574,9 @@ let run ?(max_turns = 100_000) (t : t) =
        Option.iter (fun f -> f !turns) t.tick_hook;
        List.iter (fun (d : Daemon.t) -> Delivery.expire t.core d.Daemon.name)
          (Delivery.daemons t.core);
+       (* Read before dispatching, so a breaker that reopens while it is
+          read is acted on in this turn rather than slept through. *)
+       let wake = Delivery.wake_at t.core in
        Array.iter (fun w -> maybe_respawn t w) t.workers;
        Array.iter (fun w -> dispatch t w) t.workers;
        let fds =
@@ -583,9 +584,14 @@ let run ?(max_turns = 100_000) (t : t) =
            t.workers
        in
        let busy = Array.exists (fun w -> w.inflight <> None) t.workers in
-       (* Block only while an answer is owed; otherwise a short poll —
-          time has to pass for TTL expiry and breaker reopening. *)
-       let timeout = if busy then 1.0 else t.config.poll in
+       (* Block while an answer is owed; otherwise sleep until the clock
+          alone can unblock work (a TTL deadline or a breaker reopen). *)
+       let timeout =
+         match wake with
+         | Some at when not busy ->
+           Float.min 1.0 (Float.max 0.0 (at -. Clock.now (Delivery.clock t.core)))
+         | _ -> 1.0
+       in
        (match Unix.select fds [] [] timeout with
        | readable, _, _ ->
          List.iter

@@ -39,7 +39,6 @@ type config = {
   breaker : Mirror_daemon.Supervisor.config;
   barriers : (string * string list) list;
   max_retries : int;  (** Extra attempts per delivery (worker deaths included). *)
-  poll : float;  (** Idle select timeout, seconds. *)
 }
 
 val default_config : config

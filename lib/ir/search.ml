@@ -262,12 +262,12 @@ let getbl_pairs ~space ~occ_ctx ~occ_term ~occ_tf ~len ~dom ~qlink ~qval =
   in
   let n = Array.length dom_heads in
   match Mirror_bat.Parkernel.current () with
-  | Some pool when n >= Mirror_bat.Parkernel.min_rows () && n > 0 ->
-    let parts, _ = Mirror_bat.Parkernel.map_ranges pool n score_range in
+  | Some pool ->
+    let parts = Array.to_list ((Mirror_bat.Parkernel.scheduler pool).Bat.map n score_range) in
     Bat.make
-      (Column.O (Array.concat (List.map fst (Array.to_list parts))))
-      (Column.F (Array.concat (List.map snd (Array.to_list parts))))
-  | _ ->
+      (Column.O (Array.concat (List.map fst parts)))
+      (Column.F (Array.concat (List.map snd parts)))
+  | None ->
     let ctxs, bels = score_range 0 n in
     Bat.make (Column.O ctxs) (Column.F bels)
 

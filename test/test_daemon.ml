@@ -662,7 +662,6 @@ let test_metrics_parity () =
         ttl = 2.0;
         breaker =
           { Supervisor.failure_threshold = 3; base_backoff = 0.004; max_backoff = 0.05; jitter = 0.2 };
-        poll = 0.004;
       }
     in
     let fab = Fabric.create ~daemons:[ failing () ] ~config () in

@@ -15,10 +15,13 @@
      operator (undeclared in-place write) must be flagged by Effcheck,
      refused by the scheduler (its dispatch sees no current pool), and
      caught by the runtime effect sanitizer when its declaration lies;
-   - merge-order units: each parallel aggregate merged across every
-     domain count and pathological morsel size must equal the
-     sequential fold, including float min/max with NaN and signed
-     zeros, and the mixed int/float Calc2 regression from PR 3;
+   - merge-order units: every [Bat] operator that keeps a parallel
+     path, run under a scheduler at every domain count and
+     pathological morsel size, must equal its one-range run (float
+     min/max with NaN and signed zeros included); the kernels without
+     one (dense and merge joins, float sum/avg/prod folds, grouped
+     aggregates) must never reach the pool; and the mixed int/float
+     Calc2 regression;
    - morsel edge cases: empty input, single row, morsel size larger
      than the BAT. *)
 
@@ -167,35 +170,93 @@ let test_sanitizer_catches_forced () =
     | exception Effcheck.Violation _ -> ()
     | () -> Alcotest.fail "sanitizer accepted an undeclared in-place write")
 
-(* {1 Merge-order units: aggregates across domain counts} *)
+(* {1 Merge-order units: every operator with a parallel path}
 
-let ints_bat n =
-  Bat.make
-    (Column.O (Array.init n (fun i -> i mod 7)))
-    (Column.I (Array.init n (fun i -> (i * 31) mod 113 - 50)))
+   Each unit runs one [Bat] operator once over all rows and again under
+   a pool's scheduler; the two results must be [Bat.equal] (or raise
+   the same exception).  [units n] gives, over inputs of [n] rows, the
+   units of every operator that keeps a parallel path and those of the
+   kernels that must stay in one range. *)
 
-let flts_bat n =
-  Bat.make
-    (Column.O (Array.init n (fun i -> i mod 7)))
-    (Column.F (Array.init n (fun i -> Float.of_int ((i * 17) mod 97 - 48) /. 8.0)))
+let scalar v = Bat.of_pairs Atom.TOid (Atom.type_of v) [ (Atom.Oid 0, v) ]
 
-let check_group pool label aggr b =
-  let expected = Bat.group_aggr aggr b in
-  match Parkernel.group_aggr pool aggr b with
-  | None -> Alcotest.failf "%s: no parallel path" label
-  | Some (got, _) ->
-    if not (Bat.equal expected got) then Alcotest.failf "%s: group merge differs" label
+let units n =
+  let oids k = Column.O (Array.init k (fun i -> i)) in
+  let ints = Bat.make (oids n) (Column.I (Array.init n (fun i -> ((i * 31) mod 113) - 50))) in
+  let flts =
+    Bat.make (oids n)
+      (Column.F (Array.init n (fun i -> Float.of_int (((i * 17) mod 97) - 48) /. 8.0)))
+  in
+  let bools = Bat.make (oids n) (Column.B (Array.init n (fun i -> i mod 3 <> 1))) in
+  let m = (n / 2) + 1 in
+  let right heads = Bat.make (Column.O heads) (Column.I (Array.init m (fun j -> j * 10))) in
+  (* left keys: repeats, misses and out-of-range values, unsorted *)
+  let keys = Bat.make (oids n) (Column.O (Array.init n (fun i -> ((i * 7) mod (m + 3)) - 1))) in
+  let sorted_keys = Bat.make (oids n) (Column.O (Array.init n (fun i -> i / 2))) in
+  ( [
+    ("select_cmp int", fun sched -> Bat.select_cmp ?sched ints Bat.Gt (Atom.Int 0));
+    ("select_cmp flt", fun sched -> Bat.select_cmp ?sched flts Bat.Le (Atom.Flt 1.5));
+    ( "select_range int",
+      fun sched -> Bat.select_range ?sched ints (Atom.Int (-20)) (Atom.Int 20) );
+    ("select_bool", fun sched -> Bat.select_bool ?sched bools);
+    ("calc1 neg int", fun sched -> Bat.calc1 ?sched Bat.Neg ints);
+    ("calc1 sqrt flt", fun sched -> Bat.calc1 ?sched Bat.Sqrt flts);
+    ("calc_const add int", fun sched -> Bat.calc_const ?sched Bat.Add ints (Atom.Int 5));
+    ( "calc_const cmp flt",
+      fun sched -> Bat.calc_const ?sched (Bat.CmpOp Bat.Ge) flts (Atom.Flt 0.0) );
+    ("const_calc sub int", fun sched -> Bat.const_calc ?sched Bat.Sub (Atom.Int 5) ints);
+    ("const_calc div flt", fun sched -> Bat.const_calc ?sched Bat.Div (Atom.Flt 1.0) flts);
+    ("calc2 mul int", fun sched -> Bat.calc2 ?sched Bat.Mul ints ints);
+    ("calc2 max flt", fun sched -> Bat.calc2 ?sched Bat.MaxOp flts flts);
+    (* duplicate right heads: each probe expands in right order *)
+    ( "join hash",
+      fun sched -> Bat.join ?sched keys (right (Array.init m (fun j -> (m - j) mod ((m / 2) + 1))))
+    );
+    ( "join generic",
+      fun sched ->
+        Bat.join ?sched
+          (Bat.make (oids n) (Column.S (Array.init n (fun i -> string_of_int (i mod 5)))))
+          (Bat.make
+             (Column.S (Array.init 4 (fun j -> string_of_int (3 - j))))
+             (Column.I (Array.init 4 (fun j -> j)))) );
+    ("aggr_all sum int", fun sched -> scalar (Bat.aggr_all ?sched Bat.Sum ints));
+    ("aggr_all min int", fun sched -> scalar (Bat.aggr_all ?sched Bat.Min ints));
+    ("aggr_all max int", fun sched -> scalar (Bat.aggr_all ?sched Bat.Max ints));
+    ( "aggr_all prod int",
+      fun sched ->
+        scalar
+          (Bat.aggr_all ?sched Bat.Prod
+             (Bat.make (oids n) (Column.I (Array.init n (fun i -> (i mod 3) - 1))))) );
+    ("aggr_all min flt", fun sched -> scalar (Bat.aggr_all ?sched Bat.Min flts));
+    ("aggr_all max flt", fun sched -> scalar (Bat.aggr_all ?sched Bat.Max flts));
+  ],
+  (* kernels that run in one range under any schedule *)
+  [
+    ("join dense", fun sched -> Bat.join ?sched keys (right (Array.init m (fun j -> j))));
+    ( "join merge",
+      fun sched -> Bat.join ?sched sorted_keys (right (Array.init m (fun j -> 2 * j))) );
+    ("aggr_all sum flt", fun sched -> scalar (Bat.aggr_all ?sched Bat.Sum flts));
+    ("aggr_all avg flt", fun sched -> scalar (Bat.aggr_all ?sched Bat.Avg flts));
+  ] )
 
-let check_aggr_all pool label aggr b =
-  let expected = Bat.aggr_all aggr b in
-  match Parkernel.aggr_all pool aggr b with
-  | None -> Alcotest.failf "%s: no parallel path" label
-  | Some (got, _) ->
-    if not (Atom.equal expected got) then
-      Alcotest.failf "%s: parallel fold differs (seq %s, par %s)" label
-        (Atom.to_string expected) (Atom.to_string got)
+let outcome f = try Ok (f ()) with e -> Error (Printexc.to_string e)
 
-let test_merge_order () =
+(* [run] under [pool]'s scheduler equals [run None]; returns whether
+   the pool was used. *)
+let check_unit pool label run =
+  let jobs = ref 0 in
+  let expected = outcome (fun () -> run None) in
+  let got =
+    outcome (fun () -> run (Some (Parkernel.scheduler ~on_run:(fun _ -> incr jobs) pool)))
+  in
+  (match (expected, got) with
+  | Ok e, Ok g when Bat.equal e g -> ()
+  | Error e, Error g when e = g -> ()
+  | Ok e, Ok g -> Alcotest.failf "%s: schedules differ\n  seq %a\n  par %a" label Bat.pp e Bat.pp g
+  | _ -> Alcotest.failf "%s: one schedule raised, the other did not" label);
+  !jobs > 0
+
+let with_pools f =
   Parkernel.set_min_rows 0;
   let pools = List.map (fun d -> (d, Parkernel.create d)) domain_counts in
   Fun.protect
@@ -203,61 +264,89 @@ let test_merge_order () =
       Parkernel.set_min_rows 2048;
       Parkernel.set_morsel_size 16_384;
       List.iter (fun (_, p) -> Parkernel.shutdown p) pools)
-    (fun () ->
-      let n = 200 in
-      let bi = ints_bat n and bf = flts_bat n in
+    (fun () -> f pools)
+
+let test_every_operator () =
+  with_pools (fun pools ->
       List.iter
         (fun (d, pool) ->
           List.iter
             (fun msz ->
               Parkernel.set_morsel_size msz;
-              let tag op = Printf.sprintf "%s @%dd/m%d" op d msz in
-              check_group pool (tag "group count") Bat.Count bi;
-              check_group pool (tag "group sum int") Bat.Sum bi;
-              check_group pool (tag "group min int") Bat.Min bi;
-              check_group pool (tag "group max int") Bat.Max bi;
-              check_group pool (tag "group min flt") Bat.Min bf;
-              check_group pool (tag "group max flt") Bat.Max bf;
-              check_aggr_all pool (tag "all sum int") Bat.Sum bi;
-              check_aggr_all pool (tag "all min int") Bat.Min bi;
-              check_aggr_all pool (tag "all max int") Bat.Max bi;
-              check_aggr_all pool (tag "all prod int") Bat.Prod
-                (Bat.make (Bat.head bi) (Column.I (Array.init n (fun i -> (i mod 3) - 1))));
-              check_aggr_all pool (tag "all min flt") Bat.Min bf;
-              check_aggr_all pool (tag "all max flt") Bat.Max bf)
+              let par, seq = units 200 in
+              let check must (op, run) =
+                let label = Printf.sprintf "%s @%dd/m%d" op d msz in
+                if check_unit pool label run <> must then
+                  Alcotest.failf "%s: %s the pool" label
+                    (if must then "never reached" else "reached")
+              in
+              List.iter (check true) par;
+              List.iter (check false) seq)
             [ 1; 7; 1000 ])
-        pools;
-      (* float sums are non-associative: the kernel must refuse to
-         parallelize them rather than produce rounding-dependent bits *)
+        pools)
+
+(* The folds that keep a parallel path merge partials across any
+   partition; the ones that do not must never reach the pool, and a
+   grouped aggregate runs sequentially even on a licensed 4-domain
+   session. *)
+let test_merge_order () =
+  with_pools (fun pools ->
       let _, pool4 = List.nth pools 2 in
-      Alcotest.(check bool) "float group sum stays sequential" true
-        (Parkernel.group_aggr pool4 Bat.Sum bf = None);
-      Alcotest.(check bool) "float group avg stays sequential" true
-        (Parkernel.group_aggr pool4 Bat.Avg bf = None);
-      Alcotest.(check bool) "float fold sum stays sequential" true
-        (Parkernel.aggr_all pool4 Bat.Sum bf = None);
-      Alcotest.(check bool) "float fold avg stays sequential" true
-        (Parkernel.aggr_all pool4 Bat.Avg bf = None))
+      Parkernel.set_morsel_size 7;
+      let flts = Bat.make (Column.O (Array.init 200 (fun i -> i mod 7)))
+          (Column.F (Array.init 200 (fun i -> Float.of_int (((i * 17) mod 97) - 48) /. 8.0)))
+      in
+      List.iter
+        (fun aggr ->
+          let label = "float fold " ^ Mil.aggr_name aggr in
+          if check_unit pool4 label (fun sched -> scalar (Bat.aggr_all ?sched aggr flts)) then
+            Alcotest.failf "%s: a non-associative fold reached the pool" label)
+        [ Bat.Sum; Bat.Avg; Bat.Prod ];
+      let catalog = Milgen.fixture () in
+      List.iter
+        (fun aggr ->
+          let plan = Mil.GroupAggr (aggr, Mil.Get "ints") in
+          let safe = (Effcheck.analyze (Effcheck.env ()) [ plan ]).Effcheck.safe in
+          let s = Mil.session ~par:{ Mil.pool = pool4; safe; morsel = (fun _ -> None) } catalog in
+          let got = Mil.exec s plan in
+          Alcotest.(check bool) "group result unchanged" true
+            (Bat.equal (Mil.exec (Mil.session catalog) plan) got);
+          Alcotest.(check int)
+            ("GroupAggr " ^ Mil.aggr_name aggr ^ " records no parallel op")
+            0 (Mil.stats s).Mil.par_ops)
+        [ Bat.Count; Bat.Sum; Bat.Min; Bat.Max ])
 
 let test_float_specials () =
-  Parkernel.set_min_rows 0;
-  let pool = Parkernel.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Parkernel.set_min_rows 2048;
-      Parkernel.set_morsel_size 16_384;
-      Parkernel.shutdown pool)
-    (fun () ->
-      Parkernel.set_morsel_size 2;
+  with_pools (fun pools ->
       let specials =
         Bat.make
-          (Column.O (Array.init 8 (fun i -> i mod 2)))
+          (Column.O (Array.init 8 (fun i -> i)))
           (Column.F [| 0.0; -0.0; Float.nan; 1.5; Float.infinity; -3.25; Float.nan; 0.5 |])
       in
-      check_group pool "NaN/zero group min" Bat.Min specials;
-      check_group pool "NaN/zero group max" Bat.Max specials;
-      check_aggr_all pool "NaN/zero fold min" Bat.Min specials;
-      check_aggr_all pool "NaN/zero fold max" Bat.Max specials)
+      let zeros = Bat.make (Column.O [| 0; 1; 2 |]) (Column.F [| -0.0; 0.0; -0.0 |]) in
+      List.iter
+        (fun (d, pool) ->
+          List.iter
+            (fun msz ->
+              Parkernel.set_morsel_size msz;
+              List.iter
+                (fun (b, what) ->
+                  let unit op run =
+                    ignore (check_unit pool (Printf.sprintf "%s %s @%dd/m%d" what op d msz) run)
+                  in
+                  unit "fold min" (fun sched -> scalar (Bat.aggr_all ?sched Bat.Min b));
+                  unit "fold max" (fun sched -> scalar (Bat.aggr_all ?sched Bat.Max b));
+                  unit "fold sum" (fun sched -> scalar (Bat.aggr_all ?sched Bat.Sum b));
+                  unit "fold avg" (fun sched -> scalar (Bat.aggr_all ?sched Bat.Avg b));
+                  unit "select" (fun sched -> Bat.select_cmp ?sched b Bat.Le (Atom.Flt 0.0));
+                  unit "calc" (fun sched -> Bat.calc_const ?sched Bat.MinOp b (Atom.Flt 0.0)))
+                [ (specials, "NaN/zero"); (zeros, "signed zeros") ])
+            [ 1; 2; 7; 1000 ])
+        pools;
+      (* the 0.0-seeded average keeps the sign rule of its sum *)
+      Alcotest.(check bool) "avg of -0.0 is +0.0" true
+        (Atom.equal (Atom.Flt 0.0)
+           (Bat.aggr_all Bat.Avg (Bat.make (Column.O [| 0 |]) (Column.F [| -0.0 |])))))
 
 (* the PR 3 regression: Calc2 MinOp over an int and a float column
    promotes to float; the parallel kernel has no mixed-type fast path
@@ -288,40 +377,27 @@ let test_mixed_calc2 () =
 (* {1 Morsel edge cases} *)
 
 let test_morsel_edges () =
-  Parkernel.set_min_rows 0;
-  let pool = Parkernel.create 4 in
-  Fun.protect
-    ~finally:(fun () ->
-      Parkernel.set_min_rows 2048;
-      Parkernel.set_morsel_size 16_384;
-      Parkernel.shutdown pool)
-    (fun () ->
-      let check label b =
-        let expected = Bat.select_cmp b Bat.Gt (Atom.Int 0) in
-        (match Parkernel.select_cmp pool b Bat.Gt (Atom.Int 0) with
-        | None -> Alcotest.failf "%s: no parallel scan path" label
-        | Some (got, _) ->
-          Alcotest.(check bool) (label ^ ": scan") true (Bat.equal expected got));
-        let eg = Bat.group_aggr Bat.Sum b in
-        match Parkernel.group_aggr pool Bat.Sum b with
-        | None -> Alcotest.failf "%s: no parallel group path" label
-        | Some (got, _) ->
-          Alcotest.(check bool) (label ^ ": group") true (Bat.equal eg got)
-      in
-      let bat_of n =
-        Bat.make
-          (Column.O (Array.init n (fun i -> i mod 3)))
-          (Column.I (Array.init n (fun i -> i - (n / 2))))
-      in
-      Parkernel.set_morsel_size 4;
-      check "empty BAT" (bat_of 0);
-      check "single row" (bat_of 1);
-      Parkernel.set_morsel_size 1000;
-      check "morsel larger than BAT" (bat_of 10);
-      (* empty fold keeps its sequential contract: the parallel kernel
-         declines and Bat.aggr_all raises/neutralizes as documented *)
-      Alcotest.(check bool) "empty fold declined" true
-        (Parkernel.aggr_all pool Bat.Sum (bat_of 0) = None))
+  with_pools (fun pools ->
+      List.iter
+        (fun (d, pool) ->
+          List.iter
+            (fun (n, msz, what) ->
+              Parkernel.set_morsel_size msz;
+              let par, seq = units n in
+              List.iter
+                (fun (op, run) ->
+                  ignore (check_unit pool (Printf.sprintf "%s: %s @%dd" what op d) run))
+                (par @ seq))
+            [ (0, 4, "empty BAT"); (1, 4, "single row"); (10, 1000, "morsel larger than BAT") ])
+        pools;
+      (* empty folds keep their sequential contract under a scheduler *)
+      let empty = Bat.make (Column.O [||]) (Column.I [||]) in
+      let sched = Parkernel.scheduler (snd (List.hd pools)) in
+      Alcotest.(check bool) "empty sum is 0" true
+        (Atom.equal (Atom.Int 0) (Bat.aggr_all ~sched Bat.Sum empty));
+      Alcotest.check_raises "empty min raises"
+        (Invalid_argument "Bat.aggr_all: empty input for min/max/avg") (fun () ->
+          ignore (Bat.aggr_all ~sched Bat.Min empty)))
 
 (* {1 Observability: stats and trace attributes} *)
 
@@ -376,6 +452,8 @@ let () =
         ] );
       ( "merge-order",
         [
+          Alcotest.test_case "every parallel operator matches at 1/2/4 domains" `Quick
+            test_every_operator;
           Alcotest.test_case "aggregates are domain-count independent" `Quick
             test_merge_order;
           Alcotest.test_case "float NaN and signed zeros" `Quick test_float_specials;

@@ -66,7 +66,6 @@ let fast_config ?(procs = 2) () =
         jitter = 0.2;
       };
     max_retries = 2;
-    poll = 0.004;
   }
 
 let scenes =
@@ -469,6 +468,38 @@ let test_crash_mid_redelivery () =
     done;
     Fabric.shutdown fab2
 
+(* {1 Idle waits}
+
+   A broken daemon under the default breaker (4 s backoff) leaves its
+   backlog to the 2 s TTL.  The fabric sleeps until that deadline: the
+   run takes 30-60 reply and deadline wake-ups, where polling every
+   20 ms would spend at least 100 turns on the wait alone. *)
+
+let max_break_turns = 100
+
+let test_break_waits_for_deadlines () =
+  if posix then begin
+    let daemons =
+      List.map
+        (fun (d : Daemon.t) ->
+          if d.Daemon.name = "annotation-indexer" then fst (Faults.breakable d) else d)
+        (Mirror_daemon.Standard.all ())
+    in
+    let config = { (fast_config ()) with Fabric.breaker = Supervisor.default_config } in
+    let fab = Fabric.create ~daemons ~config () in
+    Fun.protect ~finally:(fun () -> Fabric.shutdown fab) @@ fun () ->
+    ingest fab;
+    let report = Fabric.run fab in
+    Alcotest.(check bool) "quiescent" true report.Fabric.quiescent;
+    Alcotest.(check bool) "the broken daemon's backlog was dead-lettered" true
+      (List.exists
+         (fun (e : Deadletter.entry) -> e.Deadletter.daemon = "annotation-indexer")
+         (Fabric.dead_letters fab));
+    if report.Fabric.rounds > max_break_turns then
+      Alcotest.failf "the run took %d turns (bound %d): the idle loop polls"
+        report.Fabric.rounds max_break_turns
+  end
+
 let () =
   Alcotest.run "mirror_pchaos"
     [
@@ -485,5 +516,7 @@ let () =
             test_crash_schedules;
           Alcotest.test_case "crash mid-redelivery is exact" `Quick
             test_crash_mid_redelivery;
+          Alcotest.test_case "a --break run wakes on deadlines" `Quick
+            test_break_waits_for_deadlines;
         ] );
     ]
